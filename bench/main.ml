@@ -573,8 +573,9 @@ let run_shard_bench () =
    A closed-loop load generator: N client sessions, each with zero think
    time, toggling its own VM start/stop on its own host — the single-shard
    hosting mix, so there is no lock contention and the ceiling is the
-   coordination write path (every persist, queue item and record delete is
-   a replicated command charged to the leader's op-service station).  The
+   coordination write path (each step of a transaction's life writes its
+   records, queue items and deletes as one replicated multi command,
+   charged to the leader's op-service station).  The
    ladder raises N until committed-txn/s plateaus; each level reports the
    rate plus the driver-observed commit-latency p50/p99.  Run once with
    group commit (per-txn persists coalesced into one grouped append per
@@ -626,10 +627,6 @@ let run_throughput_point ~group_commit ~sessions ~ops =
         };
       controller_config = Tcloud.Setup.controller_config;
       submit_clients = min sessions 16;
-      (* Overlap the controller's burst persists through a session pool so
-         they ride shared group-commit batches (both arms get the pool;
-         only the batcher turns the overlap into fewer fsync rounds). *)
-      persist_clients = 8;
       trace = None;
     }
   in

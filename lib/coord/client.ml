@@ -155,6 +155,20 @@ let delete c ?expect_version ~key () =
       (Printf.sprintf "Coord.Client.delete: bad result (%s)"
          (Format.asprintf "%a" Types.pp_op_result other))
 
+(* No round trip for an empty multi: there is nothing to make atomic. *)
+let multi c ops =
+  if ops = [] then Ok []
+  else
+    match
+      submit c (fun ~session ~req -> Types.Multi { session; req; ops })
+    with
+    | Types.Multi_ok results -> Ok results
+    | Types.Multi_failed (index, e) -> Error (index, e)
+    | other ->
+      failwith
+        (Printf.sprintf "Coord.Client.multi: bad result (%s)"
+           (Format.asprintf "%a" Types.pp_op_result other))
+
 (* ------------------------------------------------------------------ *)
 (* Membership changes *)
 

@@ -47,6 +47,14 @@ val write :
 val delete :
   t -> ?expect_version:int -> key:string -> unit -> (unit, Types.op_error) result
 
+(** [multi c ops] applies [ops] atomically, in order, as one replicated
+    command: one log entry, one slot in a group-commit batch, one dedup
+    entry.  [Ok results] has one result per op; [Error (i, e)] means op
+    [i] failed with [e] and none of the ops took effect.  An empty [ops]
+    returns [Ok []] without contacting the service. *)
+val multi :
+  t -> Types.op list -> (Types.op_result list, int * Types.op_error) result
+
 (** {1 Membership changes} — replicated like any command.  [Error
     Config_pending] means another change is in flight; retry. *)
 

@@ -4,6 +4,10 @@ let poll_interval = 1.0
 (* ------------------------------------------------------------------ *)
 (* Queue *)
 
+let enqueue_op ~queue value =
+  Types.Op_create
+    { key = queue ^ "/item-"; value; ephemeral = false; sequential = true }
+
 let enqueue client ~queue value =
   match
     Client.create client ~sequential:true ~key:(queue ^ "/item-") ~value ()

@@ -10,6 +10,10 @@
 (** [enqueue client ~queue value] appends an item; returns its key. *)
 val enqueue : Client.t -> queue:string -> string -> string
 
+(** The same append as one op of a {!Client.multi}, so an item can be
+    enqueued atomically with other writes. *)
+val enqueue_op : queue:string -> string -> Types.op
+
 (** [dequeue client ~queue ()] removes and returns the oldest item
     [(key, value)], blocking until one is available (or until [timeout]
     elapses, returning [None]).  Safe with concurrent consumers: losers of

@@ -157,8 +157,8 @@ let note_config_append r index (cmd : Types.cmd) =
   | Types.Remove_replica { id; _ } ->
     r.members <- Types.remove_member r.members id;
     r.config_index <- index
-  | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Expire_session _
-  | Types.Noop ->
+  | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Multi _
+  | Types.Expire_session _ | Types.Noop ->
     ()
 
 (* Recompute from scratch: base configuration at [log_base], then every
@@ -181,8 +181,8 @@ let rescan_membership r =
     | Types.Remove_replica { id; _ } ->
       members := Types.remove_member !members id;
       cidx := i
-    | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Expire_session _
-    | Types.Noop ->
+    | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Multi _
+    | Types.Expire_session _ | Types.Noop ->
       ()
   done;
   r.members <- !members;
@@ -845,8 +845,8 @@ let handle_config_change r src ~req_id cmd =
       replicate_all r;
       advance_commit r
     end
-  | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Expire_session _
-  | Types.Noop ->
+  | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Multi _
+  | Types.Expire_session _ | Types.Noop ->
     assert false
 
 let handle_client r src ~req_id ~session_timeout request =

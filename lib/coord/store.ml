@@ -1,4 +1,5 @@
 module Smap = Map.Make (String)
+module Sset = Set.Make (String)
 module Imap = Map.Make (Int)
 
 type entry = { value : string; version : int; owner : int option }
@@ -113,6 +114,42 @@ let do_delete t ~key ~expect_version =
     t.entries <- Smap.remove key t.entries;
     (Types.Deleted_ok, [ key ])
 
+(* Apply [ops] in order; if one fails, roll back every earlier op's effect
+   (entries and the sequential counter: an immutable map and an int, so
+   restoring them is exact) and report the failing op's index.  The
+   changed keys of a successful multi are listed once each, in
+   first-change order. *)
+let do_multi t ~session ops =
+  let entries = t.entries and seq_counter = t.seq_counter in
+  let apply_op = function
+    | Types.Op_create { key; value; ephemeral; sequential } ->
+      do_create t ~session ~key ~value ~ephemeral ~sequential
+    | Types.Op_write { key; value } -> do_write t ~key ~value ~expect_version:None
+    | Types.Op_delete { key; must_exist } ->
+      if must_exist || Smap.mem key t.entries then
+        do_delete t ~key ~expect_version:None
+      else (Types.Noop_ok, [])
+  in
+  let rec go i results changed = function
+    | [] ->
+      let _, changed =
+        List.fold_left
+          (fun (seen, acc) k ->
+            if Sset.mem k seen then (seen, acc) else (Sset.add k seen, k :: acc))
+          (Sset.empty, []) (List.rev changed)
+      in
+      (Types.Multi_ok (List.rev results), List.rev changed)
+    | op :: rest ->
+      (match apply_op op with
+       | Types.Op_failed e, _ ->
+         t.entries <- entries;
+         t.seq_counter <- seq_counter;
+         (Types.Multi_failed (i, e), [])
+       | result, keys ->
+         go (i + 1) (result :: results) (List.rev_append keys changed) rest)
+  in
+  go 0 [] [] ops
+
 let do_expire t session =
   let doomed =
     Smap.fold
@@ -140,6 +177,8 @@ let apply t cmd =
     deduped session req (fun () -> do_write t ~key ~value ~expect_version)
   | Types.Delete { session; req; key; expect_version } ->
     deduped session req (fun () -> do_delete t ~key ~expect_version)
+  | Types.Multi { session; req; ops } ->
+    deduped session req (fun () -> do_multi t ~session ops)
   | Types.Expire_session session -> do_expire t session
   | Types.Noop -> (Types.Noop_ok, [])
   | Types.Add_replica { session; req; id } ->
@@ -154,7 +193,12 @@ let apply t cmd =
 (* ------------------------------------------------------------------ *)
 (* Snapshot codec *)
 
-let result_to_sexp =
+let error_names =
+  [ (Types.Key_missing, "missing"); (Types.Key_exists, "exists");
+    (Types.Bad_version, "version"); (Types.Config_pending, "pending");
+    (Types.Config_invalid, "invalid") ]
+
+let rec result_to_sexp =
   let open Data.Sexp in
   function
   | Types.Created k -> List [ Atom "created"; Atom k ]
@@ -163,13 +207,20 @@ let result_to_sexp =
   | Types.Expired_ok -> List [ Atom "expired" ]
   | Types.Noop_ok -> List [ Atom "noop" ]
   | Types.Config_ok -> List [ Atom "config" ]
-  | Types.Op_failed Types.Key_missing -> List [ Atom "failed"; Atom "missing" ]
-  | Types.Op_failed Types.Key_exists -> List [ Atom "failed"; Atom "exists" ]
-  | Types.Op_failed Types.Bad_version -> List [ Atom "failed"; Atom "version" ]
-  | Types.Op_failed Types.Config_pending -> List [ Atom "failed"; Atom "pending" ]
-  | Types.Op_failed Types.Config_invalid -> List [ Atom "failed"; Atom "invalid" ]
+  | Types.Op_failed e -> List [ Atom "failed"; Atom (List.assoc e error_names) ]
+  | Types.Multi_ok results ->
+    List (Atom "multi" :: List.map result_to_sexp results)
+  | Types.Multi_failed (i, e) ->
+    List [ Atom "multi-failed"; of_int i; Atom (List.assoc e error_names) ]
 
-let result_of_sexp =
+let error_of_name name =
+  match List.find_opt (fun (_, n) -> String.equal n name) error_names with
+  | Some (e, _) -> Ok e
+  | None -> Error ("Store: unknown op error " ^ name)
+
+let ( let* ) r f = Result.bind r f
+
+let rec result_of_sexp =
   let open Data.Sexp in
   function
   | List [ Atom "created"; Atom k ] -> Ok (Types.Created k)
@@ -179,13 +230,22 @@ let result_of_sexp =
   | List [ Atom "expired" ] -> Ok Types.Expired_ok
   | List [ Atom "noop" ] -> Ok Types.Noop_ok
   | List [ Atom "config" ] -> Ok Types.Config_ok
-  | List [ Atom "failed"; Atom "missing" ] -> Ok (Types.Op_failed Types.Key_missing)
-  | List [ Atom "failed"; Atom "exists" ] -> Ok (Types.Op_failed Types.Key_exists)
-  | List [ Atom "failed"; Atom "version" ] -> Ok (Types.Op_failed Types.Bad_version)
-  | List [ Atom "failed"; Atom "pending" ] ->
-    Ok (Types.Op_failed Types.Config_pending)
-  | List [ Atom "failed"; Atom "invalid" ] ->
-    Ok (Types.Op_failed Types.Config_invalid)
+  | List [ Atom "failed"; Atom name ] ->
+    Result.map (fun e -> Types.Op_failed e) (error_of_name name)
+  | List (Atom "multi" :: results) ->
+    let* results =
+      List.fold_left
+        (fun acc r ->
+          let* acc = acc in
+          let* r = result_of_sexp r in
+          Ok (r :: acc))
+        (Ok []) results
+    in
+    Ok (Types.Multi_ok (List.rev results))
+  | List [ Atom "multi-failed"; i; Atom name ] ->
+    let* i = to_int i in
+    let* e = error_of_name name in
+    Ok (Types.Multi_failed (i, e))
   | other -> Error ("Store.result_of_sexp: " ^ to_string other)
 
 let to_sexp t =
@@ -210,8 +270,6 @@ let to_sexp t =
              List [ of_int session; of_int req; result_to_sexp result ] :: acc)
            t.dedup []);
     ]
-
-let ( let* ) r f = Result.bind r f
 
 let of_sexp sexp =
   match sexp with

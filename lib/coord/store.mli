@@ -21,7 +21,12 @@ val members : t -> int list
 (** [apply t cmd] executes one committed command.  Returns its result and
     the list of keys whose state changed (used by the leader to fire
     watches).  Duplicate [(session, req)] pairs return the cached result
-    without re-executing. *)
+    without re-executing.
+
+    A [Multi] applies its ops in order; if one fails, the entries and the
+    sequential counter are restored to their state before the command,
+    no key is reported changed, and the result names the failing op.  Its
+    changed keys are listed once each, so each fires its watches once. *)
 val apply : t -> Types.cmd -> Types.op_result * string list
 
 (** {1 Reads (not replicated)} *)

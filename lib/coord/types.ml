@@ -8,6 +8,13 @@
 (* ------------------------------------------------------------------ *)
 (* Replicated commands and their results *)
 
+(* One operation of an atomic [Multi] command. *)
+type op =
+  | Op_create of { key : string; value : string; ephemeral : bool; sequential : bool }
+  | Op_write of { key : string; value : string } (* upsert *)
+  | Op_delete of { key : string; must_exist : bool }
+      (* an absent key fails the multi only when [must_exist] *)
+
 (* Every client-originated command carries its session id and a per-session
    request sequence number: the state machine deduplicates retries so a
    command is applied exactly once even if the client re-sends it across a
@@ -29,6 +36,9 @@ type cmd =
       expect_version : int option; (* CAS when [Some v]; upsert when [None] *)
     }
   | Delete of { session : int; req : int; key : string; expect_version : int option }
+  | Multi of { session : int; req : int; ops : op list }
+      (* all-or-nothing: the ops apply in order as ONE log entry, or, if
+         any op fails, none of them does *)
   | Expire_session of int (* proposed by the leader; system command *)
   | Noop (* appended by a fresh leader to commit its term *)
   (* Single-server membership changes (Raft §4), replicated through the
@@ -53,6 +63,10 @@ type op_result =
   | Noop_ok
   | Config_ok
   | Op_failed of op_error
+  | Multi_ok of op_result list
+      (* one result per op; [Noop_ok] for a tolerated delete of an absent
+         key *)
+  | Multi_failed of int * op_error (* index of the first failing op *)
 
 (* ------------------------------------------------------------------ *)
 (* Client-visible queries (served at the leader, not replicated) *)
@@ -280,7 +294,7 @@ let pp_op_error fmt e =
      | Config_pending -> "config change pending"
      | Config_invalid -> "config change invalid")
 
-let pp_op_result fmt = function
+let rec pp_op_result fmt = function
   | Created k -> Format.fprintf fmt "created %s" k
   | Written v -> Format.fprintf fmt "written v%d" v
   | Deleted_ok -> Format.pp_print_string fmt "deleted"
@@ -288,3 +302,10 @@ let pp_op_result fmt = function
   | Noop_ok -> Format.pp_print_string fmt "noop"
   | Config_ok -> Format.pp_print_string fmt "config ok"
   | Op_failed e -> Format.fprintf fmt "failed: %a" pp_op_error e
+  | Multi_ok results ->
+    Format.fprintf fmt "multi ok [%a]"
+      (Format.pp_print_list
+         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
+         pp_op_result)
+      results
+  | Multi_failed (i, e) -> Format.fprintf fmt "multi failed at op %d: %a" i pp_op_error e

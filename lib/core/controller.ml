@@ -103,13 +103,6 @@ type part_2pc = {
   mutable pt_deadline : float;
 }
 
-(* Work item for the persist-pool sessions (parallel record writes and
-   queue-item deletes). *)
-type pjob =
-  | Pwrite of string * string
-  | Pdelete of string
-  | Penqueue of string * string  (* queue, payload: sequential create *)
-
 type t = {
   cname : string;
   client : Coord.Client.t;
@@ -148,20 +141,13 @@ type t = {
       (* txn ids released since the last scheduler pass; delivered to the
          scheduler in ONE deduplicated [Sched.wake] per pass instead of
          one ready-deque scan per lock release *)
-  persist_pool : Coord.Client.t list;
-      (* extra coordination sessions for overlapping record persists and
-         item deletes across an input burst; empty = the pre-pool serial
-         write path *)
   dirty : (int, Txn.t) Hashtbl.t;
       (* txns whose record changed while [defer_persists] was on; written
-         (concurrently, via the pool) at the next [flush_persists] *)
+         in one multi at the next [flush_persists] *)
   mutable defer_persists : bool;
   mutable phyq_buf : int list;
-      (* phyQ offers buffered during a deferred scheduler drain; enqueued
-         (newest first in the list, reversed on flush) only after the
-         Started records they announce are durable *)
-  mutable pjobs : pjob Des.Channel.t option; (* pool work queue, lazy *)
-  packs : unit Des.Channel.t; (* one ack per completed pool job *)
+      (* phyQ offers buffered during a scheduler drain (newest first);
+         enqueued in the same multi as the Started records they announce *)
   pending : (int, pending_2pc) Hashtbl.t; (* coordinator-side, by gid *)
   parts : (int, part_2pc) Hashtbl.t; (* participant-side, by gid *)
   mutable recovered_cross : (Txn.t * bool) list;
@@ -250,7 +236,7 @@ let absorb_stats ~(into : stats) (src : stats) =
   into.twopc_aborted <- into.twopc_aborted + src.twopc_aborted;
   into.twopc_prepares <- into.twopc_prepares + src.twopc_prepares
 
-let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
+let create ?trace ?shard ?gclient ~name ~client ~env
     ~(config : config) ~devices ~device_roots ~sim () =
   let shard =
     match shard with
@@ -303,12 +289,9 @@ let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
     shedding = false;
     wake_pending = false;
     wake_buf = Hashtbl.create 32;
-    persist_pool;
     dirty = Hashtbl.create 32;
     defer_persists = false;
     phyq_buf = [];
-    pjobs = None;
-    packs = Des.Channel.create ~name:(name ^ ".packs") ();
     pending = Hashtbl.create 8;
     parts = Hashtbl.create 8;
     recovered_cross = [];
@@ -363,69 +346,39 @@ let quarantined t =
 (* ------------------------------------------------------------------ *)
 (* Persistence helpers *)
 
-let persist_now t ~client (txn : Txn.t) =
-  match
-    Coord.Client.write client ~key:(Txn.record_key_ns t.ns txn.Txn.id)
-      ~value:(Txn.to_string txn) ()
-  with
+let record_write t (txn : Txn.t) =
+  Coord.Types.Op_write
+    { key = Txn.record_key_ns t.ns txn.Txn.id; value = Txn.to_string txn }
+
+let run_multi t ops =
+  match Coord.Client.multi t.client ops with
   | Ok _ -> ()
-  | Error e ->
+  | Error (i, e) ->
     Log.err (fun m ->
-        m "%s: persisting txn %d failed: %s" t.cname txn.Txn.id
-          (Format.asprintf "%a" Coord.Types.pp_op_error e))
+        m "%s: persist multi failed at op %d: %a" t.cname i
+          Coord.Types.pp_op_error e)
 
-(* While the main loop processes a burst of input items it defers txn-record
-   persists into [dirty] (latest state per txn id wins); [flush_persists]
-   pushes them through the session pool so the writes overlap and ride
-   shared replica-side group-commit batches.  Deferral is gated on the pool
-   actually existing: without one the flush would replay the same writes
-   serially through the main session — no overlap, just delayed durability
-   and perturbed timing — so no-pool deployments keep the synchronous write
-   path bit-for-bit. *)
-let deferring t = t.defer_persists && t.persist_pool <> []
+let persist_now t txn = run_multi t [ record_write t txn ]
 
+(* While the main loop processes a burst of input items, or the scheduler
+   drains, txn-record persists are deferred into [dirty] (latest state per
+   txn id wins).  [flush_persists] then writes them, together with the
+   [ops] that must land with them (the burst's inputQ deletes, the
+   drain's phyQ offers, a checkpoint and its prunes), as ONE atomic multi:
+   one replicated command instead of a chain, and no crash window between
+   a record and the queue change it accounts for. *)
 let persist t (txn : Txn.t) =
-  if deferring t then Hashtbl.replace t.dirty txn.Txn.id txn
-  else persist_now t ~client:t.client txn
+  if t.defer_persists then Hashtbl.replace t.dirty txn.Txn.id txn
+  else persist_now t txn
 
-(* Run a set of coordination writes/deletes, overlapping them through the
-   persist pool when one is attached; inline through the main session
-   otherwise.  Blocks until every job is applied. *)
-let run_coord_jobs t jobs =
-  match (t.pjobs, jobs) with
-  | _, [] -> ()
-  | None, jobs ->
-    List.iter
-      (fun job ->
-        match job with
-        | Pwrite (key, value) -> (
-          match Coord.Client.write t.client ~key ~value () with
-          | Ok _ -> ()
-          | Error e ->
-            Log.err (fun m ->
-                m "%s: pooled persist of %s failed: %s" t.cname key
-                  (Format.asprintf "%a" Coord.Types.pp_op_error e)))
-        | Pdelete key -> ignore (Coord.Client.delete t.client ~key ())
-        | Penqueue (queue, payload) ->
-          ignore (Coord.Recipes.enqueue t.client ~queue payload))
-      jobs
-  | Some chan, jobs ->
-    let n = List.length jobs in
-    List.iter (fun job -> Des.Channel.send chan job) jobs;
-    for _ = 1 to n do
-      Des.Channel.recv t.packs
-    done
-
-let flush_persists t =
-  if Hashtbl.length t.dirty > 0 then begin
-    let txns = Hashtbl.fold (fun _ txn acc -> txn :: acc) t.dirty [] in
-    Hashtbl.reset t.dirty;
-    run_coord_jobs t
-      (List.map
-         (fun (txn : Txn.t) ->
-           Pwrite (Txn.record_key_ns t.ns txn.Txn.id, Txn.to_string txn))
-         txns)
-  end
+let flush_persists ?(ops = []) t =
+  let records =
+    Hashtbl.fold (fun _ txn acc -> txn :: acc) t.dirty []
+    |> List.sort (fun (a : Txn.t) b -> compare a.Txn.id b.Txn.id)
+    |> List.map (record_write t)
+  in
+  Hashtbl.reset t.dirty;
+  run_multi t (records @ ops)
 
 let finish t (txn : Txn.t) state =
   txn.Txn.state <- state;
@@ -539,28 +492,26 @@ let maybe_checkpoint t =
   | None -> ()
   | Some period ->
     if t.commits_since_checkpoint >= period && inflight t = 0 then begin
-      (* Deferred records must hit the store before the checkpoint prunes:
-         a dirty record flushed after its key was pruned would resurrect a
-         terminal txn the checkpoint already folded in. *)
-      flush_persists t;
       let seq = t.next_start_seq - 1 in
       let snapshot =
         Data.Sexp.List
           [ Data.Sexp.of_int seq; Data.Tree.to_sexp t.tree ]
       in
-      (match
-         Coord.Client.write t.client ~key:(Proto.checkpoint_key_ns t.ns)
-           ~value:(Data.Sexp.to_string snapshot) ()
-       with
-       | Ok _ ->
-         t.checkpoint_seq <- seq;
-         t.commits_since_checkpoint <- 0;
-         List.iter
-           (fun key -> ignore (Coord.Client.delete t.client ~key ()))
-           t.prune_candidates;
-         t.prune_candidates <- [];
-         Log.info (fun m -> m "%s: checkpoint at start_seq %d" t.cname seq)
-       | Error _ -> ())
+      (* Deferred records ride the checkpoint's multi, ahead of the prunes:
+         a dirty record written after its key was pruned would resurrect a
+         terminal txn the checkpoint already folded in. *)
+      flush_persists t
+        ~ops:
+          (Coord.Types.Op_write
+             { key = Proto.checkpoint_key_ns t.ns;
+               value = Data.Sexp.to_string snapshot }
+          :: List.map
+               (fun key -> Coord.Types.Op_delete { key; must_exist = false })
+               t.prune_candidates);
+      t.checkpoint_seq <- seq;
+      t.commits_since_checkpoint <- 0;
+      t.prune_candidates <- [];
+      Log.info (fun m -> m "%s: checkpoint at start_seq %d" t.cname seq)
     end
 
 let commit_txn t (txn : Txn.t) =
@@ -800,7 +751,7 @@ let try_start_participant t (txn : Txn.t) : Sched.attempt =
           (* The Prepared vote is a durability promise to the coordinator:
              the record must hit the coordination service before the vote
              leaves, so it is never deferred into a batch flush. *)
-          persist_now t ~client:t.client txn;
+          persist_now t txn;
           part.pt_deadline <-
             Des.Sim.now t.sim +. t.cfg.twopc_prepare_timeout;
           t.st.twopc_prepares <- t.st.twopc_prepares + 1;
@@ -973,17 +924,10 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
           t.next_start_seq <- t.next_start_seq + 1;
           persist t txn;
           t.tree <- new_tree;
-          (* During a deferred drain the phyQ offer waits until the Started
-             record is flushed (record-before-offer, same order as the
-             synchronous path).  A crash between flush and offer leaves a
-             Started record with no queue item — recovery's [needs_phy]
-             re-offer covers exactly that window. *)
-          if deferring t then t.phyq_buf <- txn.Txn.id :: t.phyq_buf
-          else
-            ignore
-              (Coord.Recipes.enqueue t.client
-                 ~queue:(Proto.phy_queue_ns t.ns)
-                 (string_of_int txn.Txn.id));
+          (* Starts only happen inside a scheduler drain: the phyQ offer
+             lands in the drain's multi with the Started record
+             (record-before-offer, made atomic). *)
+          t.phyq_buf <- txn.Txn.id :: t.phyq_buf;
           `Started
       end
     end
@@ -1006,24 +950,23 @@ let try_start t (txn : Txn.t) : Sched.attempt =
 let rec schedule t =
   t.wake_pending <- false;
   flush_wakes t;
-  (* The drain itself runs with persists deferred: every txn the pass
-     starts batches its Started record into one pooled flush, and the phyQ
-     offers follow only once those records are durable.  Participant
+  (* The drain itself runs with persists deferred: the pass's Started
+     records and their phyQ offers land in one multi.  Participant
      prepares opt out via [persist_now] (the vote is the durability
      promise). *)
   t.defer_persists <- true;
   Sched.drain t.sched ~attempt:(try_start t) ~on_spurious:(fun _ ->
       t.st.spurious_wakeups <- t.st.spurious_wakeups + 1);
   t.defer_persists <- false;
-  flush_persists t;
-  (match List.rev t.phyq_buf with
-   | [] -> ()
-   | ids ->
-     t.phyq_buf <- [];
-     run_coord_jobs t
-       (List.map
-          (fun id -> Penqueue (Proto.phy_queue_ns t.ns, string_of_int id))
-          ids));
+  let offers =
+    List.rev_map
+      (fun id ->
+        Coord.Recipes.enqueue_op ~queue:(Proto.phy_queue_ns t.ns)
+          (string_of_int id))
+      t.phyq_buf
+  in
+  t.phyq_buf <- [];
+  flush_persists t ~ops:offers;
   if Hashtbl.length t.wake_buf > 0 then schedule t
 
 (* ------------------------------------------------------------------ *)
@@ -2136,41 +2079,6 @@ let spawn_health_monitor t =
   t.procs <-
     Des.Proc.spawn ~name:(t.cname ^ ".health") t.sim loop :: t.procs
 
-(* Long-lived persist-pool workers: each owns one extra coordination
-   session and drains the shared job queue, so a burst flush's record
-   writes overlap — and coalesce into shared replica-side group-commit
-   batches — instead of serializing on the main session.  Registered in
-   [t.procs] so [crash] kills them with the rest of the controller. *)
-let spawn_persist_workers t =
-  if t.persist_pool <> [] then begin
-    let jobs = Des.Channel.create ~name:(t.cname ^ ".pjobs") () in
-    t.pjobs <- Some jobs;
-    List.iteri
-      (fun i client ->
-        let worker () =
-          while not t.stopped do
-            (match Des.Channel.recv jobs with
-             | Pwrite (key, value) -> (
-               match Coord.Client.write client ~key ~value () with
-               | Ok _ -> ()
-               | Error e ->
-                 Log.err (fun m ->
-                     m "%s: pooled persist of %s failed: %s" t.cname key
-                       (Format.asprintf "%a" Coord.Types.pp_op_error e)))
-             | Pdelete key -> ignore (Coord.Client.delete client ~key ())
-             | Penqueue (queue, payload) ->
-               ignore (Coord.Recipes.enqueue client ~queue payload));
-            Des.Channel.send t.packs ()
-          done
-        in
-        t.procs <-
-          Des.Proc.spawn
-            ~name:(Printf.sprintf "%s.persist-%d" t.cname i)
-            t.sim worker
-          :: t.procs)
-      t.persist_pool
-  end
-
 let run t () =
   (* Shard ownership is a lease: the ephemeral sequential member node in
      the shard's election recipe.  Holding the lease IS being the shard's
@@ -2187,22 +2095,17 @@ let run t () =
    | None -> ());
   if t.cfg.watchdog.Watchdog.enabled then spawn_watchdog t;
   if t.cfg.health.Health.enabled then spawn_health_monitor t;
-  spawn_persist_workers t;
   recover t;
   schedule t;
   (* Items already sitting in inputQ behind the one just processed are
      drained in the same pass (bounded burst) before the scheduler runs:
      a group-commit flush delivers many results back-to-back, and one
      batched wake pass over the whole burst replaces a scan per item.
-     Txn-record persists are deferred across the burst and flushed
-     through the session pool before the items are deleted, so the
-     process→persist→delete ordering a single-item pass guarantees still
-     holds at burst granularity (a crash mid-burst replays the items,
-     which processing dedups exactly as it did before). *)
-  (* Burst reads are pointless without a pool to overlap the resulting
-     writes: a one-item "burst" keeps the op sequence of the classic
-     process-then-delete loop. *)
-  let input_burst = if t.persist_pool = [] then 1 else 16 in
+     Txn-record persists are deferred across the burst and written in one
+     multi with the items' deletes, so process→persist→delete holds
+     atomically at burst granularity: a crash mid-burst leaves every item
+     queued and replays it, which processing dedups. *)
+  let input_burst = 16 in
   while not t.stopped do
     if drain_twopc t || t.wake_pending then schedule t;
     match next_item t with
@@ -2211,29 +2114,24 @@ let run t () =
       t.defer_persists <- true;
       let need_schedule = ref (process_item t ~key ~payload) in
       let keys = ref [ key ] in
-      if input_burst > 1 && not t.stopped then begin
-        let queue = Proto.input_queue_ns t.ns in
-        let backlog =
-          List.filter (fun k -> k <> key) (Coord.Client.get_children t.client queue)
-        in
-        let rec take n = function
-          | x :: tl when n > 0 -> x :: take (n - 1) tl
-          | _ -> []
-        in
-        List.iter
-          (fun k ->
-            if not t.stopped then
-              match Coord.Client.get t.client k with
-              | None -> ()
-              | Some (payload, _) ->
-                keys := k :: !keys;
-                if process_item t ~key:k ~payload then need_schedule := true)
-          (take (input_burst - 1) backlog)
-      end;
+      if not t.stopped then
+        Coord.Client.get_children t.client (Proto.input_queue_ns t.ns)
+        |> List.filter (fun k -> k <> key)
+        |> List.filteri (fun i _ -> i < input_burst - 1)
+        |> List.iter (fun k ->
+               if not t.stopped then
+                 match Coord.Client.get t.client k with
+                 | None -> ()
+                 | Some (payload, _) ->
+                   keys := k :: !keys;
+                   if process_item t ~key:k ~payload then need_schedule := true);
       t.defer_persists <- false;
-      flush_persists t;
       if not t.stopped then begin
-        run_coord_jobs t (List.rev_map (fun k -> Pdelete k) !keys);
+        flush_persists t
+          ~ops:
+            (List.rev_map
+               (fun key -> Coord.Types.Op_delete { key; must_exist = false })
+               !keys);
         if drain_twopc t || !need_schedule || t.wake_pending then schedule t
       end
   done
@@ -2247,6 +2145,5 @@ let crash t =
   t.leading <- false;
   List.iter Des.Proc.kill t.procs;
   t.procs <- [];
-  List.iter Coord.Client.close t.persist_pool;
   if t.gclient != t.client then Coord.Client.close t.gclient;
   Coord.Client.close t.client

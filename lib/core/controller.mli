@@ -121,17 +121,11 @@ type t
     [client] must then connect to that shard's coordination ensemble, and
     [gclient] to the global (shard 0) ensemble carrying the 2PC mailboxes
     and decision records (defaults to [client] — correct for shard 0 and
-    for single-shard platforms).
-
-    [persist_pool] is a set of extra coordination sessions the controller
-    uses to overlap the txn-record writes of an input burst (they then
-    coalesce into shared replica-side group-commit batches); empty
-    (default) keeps every persist synchronous on [client]. *)
+    for single-shard platforms). *)
 val create :
   ?trace:Trace.t ->
   ?shard:Shard.t ->
   ?gclient:Coord.Client.t ->
-  ?persist_pool:Coord.Client.t list ->
   name:string ->
   client:Coord.Client.t ->
   env:Dsl.env ->

@@ -11,9 +11,7 @@ type spec = {
   controller_session_timeout : float;
   submit_clients : int;
   client_slots : int;
-  persist_clients : int;
-      (* extra coordination sessions per controller, used to overlap the
-         txn-record writes of an input burst (0 = synchronous persists) *)
+  persist_clients : int; (* no effect; see platform.mli *)
   worker_retry : Physical.retry_policy;
   trace : Trace.t option;
       (* span recorder shared by every controller and worker *)
@@ -220,25 +218,17 @@ let connect_controller t sid cname =
            ~session_timeout:t.pspec.controller_session_timeout
            ~name:(cname ^ "-g") ())
   in
-  let persist_pool =
-    List.init
-      (max 0 t.pspec.persist_clients)
-      (fun i ->
-        Coord.Ensemble.connect t.ensembles.(sid)
-          ~session_timeout:t.pspec.controller_session_timeout
-          ~name:(Printf.sprintf "%s-p%d" cname i)
-          ())
-  in
   Controller.create ?trace:t.pspec.trace
     ~shard:(Shard.view t.pshard ~sid)
-    ?gclient ~persist_pool ~name:cname ~client ~env:t.penv
+    ?gclient ~name:cname ~client ~env:t.penv
     ~config:t.pspec.controller_config ~devices:t.pdevices
     ~device_roots:t.pdevice_roots ~sim:t.psim ()
 
-let connect_worker t sid wname =
+let connect_worker t i wname =
+  let sid = i / t.pspec.workers in
   let client = Coord.Ensemble.connect t.ensembles.(sid) ~name:wname () in
   Worker.create ~retry:t.pspec.worker_retry ?trace:t.pspec.trace
-    ~ns:(Proto.ns_of_shard sid) ~name:wname ~client
+    ~ns:(Proto.ns_of_shard sid) ~ordinal:i ~name:wname ~client
     ~mode:(worker_mode t.pspec.mode) ~devices:t.pdevices ~sim:t.psim ()
 
 let create pspec env ~initial_tree ~devices psim =
@@ -291,9 +281,7 @@ let create pspec env ~initial_tree ~devices psim =
   let work =
     Array.init
       (pspec.shards * pspec.workers)
-      (fun i ->
-        let sid = i / pspec.workers in
-        connect_worker t sid (Printf.sprintf "worker-%d" i))
+      (fun i -> connect_worker t i (Printf.sprintf "worker-%d" i))
   in
   let t = { t with control; work } in
   (* Watch-event dispatcher: wake every awaiter registered on the key a
@@ -484,9 +472,7 @@ let kill_worker t i = Worker.crash t.work.(i)
    a fresh instance (new session — the old ephemeral executing markers die
    with the crashed session) under the same name and slot. *)
 let restart_worker t i =
-  let wname = Worker.name t.work.(i) in
-  let sid = i / t.pspec.workers in
-  let w = connect_worker t sid wname in
+  let w = connect_worker t i (Worker.name t.work.(i)) in
   t.work.(i) <- w;
   Worker.start w
 

@@ -27,11 +27,9 @@ type spec = {
   submit_clients : int;  (** client sessions the harness submits through *)
   client_slots : int;    (** coordination-service session slots *)
   persist_clients : int;
-      (** extra coordination sessions per controller used to overlap the
-          txn-record writes of an input burst so they coalesce into shared
-          group-commit batches; 0 (the default) keeps persists synchronous.
-          Each controller (re)start consumes [1 + persist_clients] client
-          slots. *)
+      (** no effect; kept so existing specs still compile.  A controller
+          writes through its own session only: one atomic multi per input
+          burst, scheduler pass or flush. *)
   worker_retry : Physical.retry_policy;
       (** per-action robustness policy every worker executes under *)
   trace : Trace.t option;

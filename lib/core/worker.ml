@@ -15,12 +15,14 @@ type t = {
   trace : Trace.t option;
   mutable stopped : bool;
   mutable procs : Des.Proc.t list;
+  ordinal : int; (* spreads concurrent takes over the queued items *)
   mutable n_executed : int;
   mutable n_committed : int;
+  mutable n_takes : int;
 }
 
-let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns) ~name
-    ~client ~mode ~devices ~sim () =
+let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns)
+    ~ordinal ~name ~client ~mode ~devices ~sim () =
   {
     wname = name;
     client;
@@ -32,13 +34,16 @@ let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns) ~name
     trace;
     stopped = false;
     procs = [];
+    ordinal;
     n_executed = 0;
     n_committed = 0;
+    n_takes = 0;
   }
 
 let name w = w.wname
 let executed w = w.n_executed
 let committed w = w.n_committed
+let take_attempts w = w.n_takes
 
 let check_signal w txn_id () =
   match Coord.Client.get w.client (Proto.signal_key_ns w.ns txn_id) with
@@ -172,49 +177,76 @@ let execute_txn w txn_id =
          Some (outcome, exec)
        end)
 
-(* Take protocol: claim with an ephemeral executing-marker before deleting
-   the queue item, so a recovering controller never re-queues a transaction
-   some worker is already executing. *)
+(* Take protocol: ONE atomic multi deletes the queue item and creates the
+   ephemeral executing marker, so a recovering controller never re-queues
+   a transaction some worker is executing, and a lost race (the delete
+   fails first) leaves no claim to withdraw.  A marker left by a session
+   that died but has not expired yet must not block the take: when only
+   the marker create fails, the item delete alone decides it. *)
+let take w ~key ~marker =
+  w.n_takes <- w.n_takes + 1;
+  match
+    Coord.Client.multi w.client
+      [ Coord.Types.Op_delete { key; must_exist = true };
+        Coord.Types.Op_create
+          { key = marker; value = w.wname; ephemeral = true; sequential = false } ]
+  with
+  | Ok _ -> true
+  | Error (1, Coord.Types.Key_exists) ->
+    Result.is_ok (Coord.Client.delete w.client ~key ())
+  | Error _ -> false
+
+(* Finish protocol: the result enters inputQ, the progress cursor (if any)
+   and the marker go, all in one multi — no crash window leaves a stale
+   cursor or a marker on a reported transaction. *)
+let finish w ~txn_id ~marker result =
+  let report =
+    match result with
+    | None -> []
+    | Some (outcome, exec) ->
+      [ Coord.Recipes.enqueue_op ~queue:(Proto.input_queue_ns w.ns)
+          (Proto.input_to_string (Proto.Result { txn_id; outcome; exec }));
+        Coord.Types.Op_delete
+          { key = Proto.progress_key_ns w.ns txn_id; must_exist = false } ]
+  in
+  match
+    Coord.Client.multi w.client
+      (report @ [ Coord.Types.Op_delete { key = marker; must_exist = false } ])
+  with
+  | Ok _ -> ()
+  | Error (i, e) ->
+    Log.err (fun m ->
+        m "%s: finishing txn %d failed at op %d: %a" w.wname txn_id i
+          Coord.Types.pp_op_error e)
+
 let take_and_run w (key, payload) =
-  (match int_of_string_opt payload with
-     | None -> ignore (Coord.Client.delete w.client ~key ())
-     | Some txn_id ->
-       let marker = Proto.executing_key_ns w.ns txn_id in
-       ignore
-         (Coord.Client.create w.client ~ephemeral:true ~key:marker ~value:w.wname ());
-       (match Coord.Client.delete w.client ~key () with
-        | Error _ ->
-          (* Another worker won the take; withdraw the claim if it is ours. *)
-          (match Coord.Client.get w.client marker with
-           | Some (owner, _) when String.equal owner w.wname ->
-             ignore (Coord.Client.delete w.client ~key:marker ())
-           | Some _ | None -> ())
-        | Ok () ->
-          (match execute_txn w txn_id with
-           | Some (outcome, exec) ->
-             ignore
-               (Coord.Recipes.enqueue w.client
-                  ~queue:(Proto.input_queue_ns w.ns)
-                  (Proto.input_to_string
-                     (Proto.Result { txn_id; outcome; exec })));
-             (* Result first, cursor second: a crash in between leaves a
-                stale cursor on a terminal transaction (harmless — it is
-                never replayed again), whereas the opposite order could
-                lose the cursor of a replay whose result never landed. *)
-             ignore
-               (Coord.Client.delete w.client
-                  ~key:(Proto.progress_key_ns w.ns txn_id) ())
-           | None -> ());
-          ignore (Coord.Client.delete w.client ~key:marker ())))
+  match int_of_string_opt payload with
+  | None -> ignore (Coord.Client.delete w.client ~key ())
+  | Some txn_id ->
+    let marker = Proto.executing_key_ns w.ns txn_id in
+    if take w ~key ~marker then finish w ~txn_id ~marker (execute_txn w txn_id)
+
+(* Workers woken by one phyQ watch would all race for the head item, and
+   all but one take would be wasted.  Each worker instead aims at the
+   item its ordinal selects among those queued (reads are not
+   replicated), so idle workers spread over a backlog. *)
+let rec pick w queue =
+  match Coord.Client.get_children w.client queue with
+  | [] -> None
+  | items ->
+    let key = List.nth items (w.ordinal mod List.length items) in
+    (match Coord.Client.get w.client key with
+     | Some (payload, _) -> Some (key, payload)
+     | None -> pick w queue (* taken meanwhile: look again *))
 
 let run w () =
   let queue = Proto.phy_queue_ns w.ns in
   while not w.stopped do
-    match Coord.Client.first_child_value w.client queue with
+    match pick w queue with
     | Some item -> take_and_run w item
     | None ->
       Coord.Client.watch_children w.client queue;
-      (match Coord.Client.first_child_value w.client queue with
+      (match pick w queue with
        | Some item -> take_and_run w item
        | None -> ignore (Coord.Client.await_change w.client ~timeout:1.0))
   done

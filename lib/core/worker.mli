@@ -20,11 +20,14 @@ type t
     [Full] mode) for every transaction this worker executes.  [ns] is the
     shard namespace whose queues this worker serves (default
     {!Proto.default_ns}); [client] must connect to that shard's
-    coordination ensemble. *)
+    coordination ensemble.  [ordinal] picks which of the queued items
+    this worker tries to take; give each worker of a shard a different
+    one, so idle workers do not all race for the same item. *)
 val create :
   ?retry:Physical.retry_policy ->
   ?trace:Trace.t ->
   ?ns:string ->
+  ordinal:int ->
   name:string ->
   client:Coord.Client.t ->
   mode:mode ->
@@ -41,3 +44,7 @@ val name : t -> string
 val executed : t -> int
 
 val committed : t -> int
+
+(** Take attempts so far: one atomic claim-and-dequeue each, won or
+    lost. *)
+val take_attempts : t -> int

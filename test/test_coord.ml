@@ -10,9 +10,10 @@ let string_c = Alcotest.string
 
 (* Run [scenario] as a process against a fresh ensemble; the simulation is
    bounded by [horizon] because replicas and pingers run forever. *)
-let with_ensemble ?(replicas = 3) ?(horizon = 120.) ?(seed = 7) scenario =
+let with_ensemble ?(config = Types.default_config) ?(replicas = 3)
+    ?(horizon = 120.) ?(seed = 7) scenario =
   let sim = Des.Sim.create ~seed () in
-  let ens = Ensemble.create ~replicas sim in
+  let ens = Ensemble.create ~replicas ~config sim in
   let finished = ref false in
   ignore
     (Des.Proc.spawn ~name:"scenario" sim (fun () ->
@@ -836,6 +837,306 @@ let store_snapshot_roundtrip_prop =
                   { session = 1; req = !req; key = "/any"; value = "v";
                     ephemeral = false; sequential = false }))
 
+(* ------------------------------------------------------------------ *)
+(* Atomic multi-op commands *)
+
+let op_create ?(ephemeral = false) ?(sequential = false) key value =
+  Types.Op_create { key; value; ephemeral; sequential }
+
+let op_write key value = Types.Op_write { key; value }
+let op_delete ?(must_exist = true) key = Types.Op_delete { key; must_exist }
+
+let mk_multi ?(session = 1) ~req ops = Types.Multi { session; req; ops }
+
+(* Name the next sequential create would get, probed without touching
+   [s]'s own counter: the counter is part of the snapshot, so a restored
+   copy answers for the original. *)
+let next_seq_name s =
+  match
+    Result.bind
+      (Data.Sexp.of_string (Data.Sexp.to_string (Store.to_sexp s)))
+      Store.of_sexp
+  with
+  | Error e -> Alcotest.failf "snapshot: %s" e
+  | Ok copy ->
+    (match Store.apply copy (mk_create ~session:99 ~sequential:true "/probe/n-" "") with
+     | Types.Created k, _ -> k
+     | _ -> Alcotest.fail "probe create")
+
+let test_multi_all_or_nothing () =
+  let s = Store.create () in
+  ignore (Store.apply s (mk_create ~req:1 "/a" "1"));
+  ignore (Store.apply s (mk_create ~req:2 ~sequential:true "/q/item-" "x"));
+  let seq_before = next_seq_name s in
+  (match
+     Store.apply s
+       (mk_multi ~req:3
+          [ op_create ~sequential:true "/q/item-" "y"; op_write "/a" "2";
+            op_delete "/a"; op_delete "/missing" ])
+   with
+   | Types.Multi_failed (3, Types.Key_missing), [] -> ()
+   | r, _ -> Alcotest.failf "expected failure at op 3, got %a" Types.pp_op_result r);
+  check (Alcotest.option (Alcotest.pair string_c int_c)) "write and delete undone"
+    (Some ("1", 1)) (Store.get s "/a");
+  check int_c "sequential create undone" 1 (List.length (Store.children s "/q"));
+  check string_c "sequential counter restored" seq_before (next_seq_name s);
+  (* A failing create also rolls back; the tolerant delete of an absent
+     key does not fail. *)
+  (match
+     Store.apply s
+       (mk_multi ~req:4
+          [ op_delete ~must_exist:false "/missing"; op_write "/b" "new";
+            op_create "/a" "dup" ])
+   with
+   | Types.Multi_failed (2, Types.Key_exists), [] -> ()
+   | r, _ -> Alcotest.failf "expected failure at op 2, got %a" Types.pp_op_result r);
+  check bool_c "upsert undone" false (Store.exists s "/b");
+  match
+    Store.apply s
+      (mk_multi ~req:5
+         [ op_delete ~must_exist:false "/missing"; op_write "/a" "3";
+           op_create ~sequential:true "/q/item-" "z" ])
+  with
+  | Types.Multi_ok [ Types.Noop_ok; Types.Written 2; Types.Created k ], changed ->
+    check (Alcotest.list string_c) "changed keys" [ "/a"; k ] changed;
+    check int_c "item appended" 2 (List.length (Store.children s "/q"))
+  | r, _ -> Alcotest.failf "expected success, got %a" Types.pp_op_result r
+
+(* Each changed key is reported once per multi, however many ops touch
+   it, and the leader fires each armed watch once. *)
+let test_multi_changed_keys_once () =
+  let s = Store.create () in
+  match
+    Store.apply s
+      (mk_multi ~req:1
+         [ op_write "/w/x" "1"; op_write "/w/x" "2"; op_create "/w/y" "v";
+           op_delete "/w/x"; op_create "/w/x" "3" ])
+  with
+  | Types.Multi_ok _, changed ->
+    check (Alcotest.list string_c) "one entry per key" [ "/w/x"; "/w/y" ] changed
+  | r, _ -> Alcotest.failf "multi: %a" Types.pp_op_result r
+
+let test_multi_watch_fires_once () =
+  with_ensemble (fun _sim ens ->
+      let watcher = Ensemble.connect ens ~name:"watcher" () in
+      let writer = Ensemble.connect ens ~name:"writer" () in
+      ignore (ok_create "create" (Client.create writer ~key:"/w/x" ~value:"0" ()));
+      Client.watch_key watcher "/w/x";
+      Client.watch_children watcher "/w";
+      (match
+         Client.multi writer
+           [ op_write "/w/x" "1"; op_write "/w/x" "2"; op_create "/w/y" "v" ]
+       with
+       | Ok _ -> ()
+       | Error (i, e) ->
+         Alcotest.failf "multi failed at %d: %a" i Types.pp_op_error e);
+      Des.Proc.sleep 2.;
+      let events = ref [] in
+      let rec drain () =
+        match Des.Channel.recv_timeout (Client.events watcher) ~timeout:0.01 with
+        | Some ev -> events := ev :: !events; drain ()
+        | None -> ()
+      in
+      drain ();
+      let count kind watched =
+        List.length
+          (List.filter
+             (fun (ev : Types.watch_event) -> ev.kind = kind && ev.watched = watched)
+             !events)
+      in
+      check int_c "key watch fired once" 1 (count Types.Key_watch "/w/x");
+      check int_c "child watch fired once" 1 (count Types.Child_watch "/w");
+      check int_c "nothing else fired" 2 (List.length !events);
+      Client.close watcher;
+      Client.close writer)
+
+let test_multi_dedup_exactly_once () =
+  let s = Store.create () in
+  let cmd =
+    mk_multi ~session:4 ~req:7
+      [ op_create ~sequential:true "/q/item-" "v"; op_write "/k" "w" ]
+  in
+  let r1, _ = Store.apply s cmd in
+  let r2, changed2 = Store.apply s cmd in
+  check bool_c "retry returns the cached result" true (r1 = r2);
+  check (Alcotest.list string_c) "retry changes nothing" [] changed2;
+  check int_c "one item" 1 (List.length (Store.children s "/q"));
+  check (Alcotest.option (Alcotest.pair string_c int_c)) "one write"
+    (Some ("w", 1)) (Store.get s "/k")
+
+(* The multi commits but its ack never arrives (the client is cut off
+   from the leader right after sending), and the leader dies.  The
+   client's retry reaches the new leader, which appends the command a
+   second time; the dedup table answers from its cache, so the multi
+   applies exactly once: one sequential item, the write at version 1. *)
+let test_multi_exactly_once_across_leader_change () =
+  with_ensemble ~horizon:300. (fun sim ens ->
+      let leader = Ensemble.await_leader ens in
+      let c = Ensemble.connect ens ~name:"submitter" () in
+      let acked = ref None in
+      ignore
+        (Des.Proc.spawn ~name:"multi" sim (fun () ->
+             acked :=
+               Some
+                 (Client.multi c
+                    [ op_create ~sequential:true "/q/item-" "v";
+                      op_write "/k" "w" ])));
+      (* The request is on the wire; every reply to it will be dropped. *)
+      Des.Proc.sleep 0.00001;
+      Des.Net.partition (Ensemble.net ens) [ Client.session_id c ] [ leader ];
+      Des.Proc.sleep 0.2;
+      check bool_c "committed but not acked" true
+        (!acked = None
+        && Store.exists (Replica.store (Ensemble.replica ens leader)) "/k");
+      Ensemble.crash_replica ens leader;
+      Des.Net.heal (Ensemble.net ens);
+      let deadline = Des.Sim.now sim +. 120. in
+      while !acked = None && Des.Sim.now sim < deadline do
+        Des.Proc.sleep 0.5
+      done;
+      (match !acked with
+       | Some (Ok [ Types.Created _; Types.Written 1 ]) -> ()
+       | Some (Ok rs) ->
+         Alcotest.failf "unexpected results: %a" Types.pp_op_result (Types.Multi_ok rs)
+       | Some (Error (i, e)) ->
+         Alcotest.failf "multi failed at %d: %a" i Types.pp_op_error e
+       | None -> Alcotest.fail "multi never acked");
+      let r = Ensemble.connect ens ~name:"reader" () in
+      check int_c "exactly one item" 1 (List.length (Client.get_children r "/q"));
+      check (Alcotest.option (Alcotest.pair string_c int_c)) "written once"
+        (Some ("w", 1)) (Client.get r "/k");
+      Client.close c;
+      Client.close r)
+
+(* Ephemeral creates inside a multi belong to the submitting session and
+   expire with it; the multi's persistent ops stay. *)
+let test_multi_ephemeral_expires () =
+  let s = Store.create () in
+  ignore
+    (Store.apply s
+       (mk_multi ~session:5 ~req:1
+          [ op_create ~ephemeral:true "/e/1" "x"; op_create "/p" "y" ]));
+  check (Alcotest.list int_c) "owner" [ 5 ] (Store.ephemeral_owners s);
+  ignore (Store.apply s (Types.Expire_session 5));
+  check bool_c "ephemeral gone" false (Store.exists s "/e/1");
+  check bool_c "persistent stays" true (Store.exists s "/p");
+  with_ensemble ~horizon:60. (fun _sim ens ->
+      let c = Ensemble.connect ens ~session_timeout:3. ~name:"mortal" () in
+      let observer = Ensemble.connect ens ~name:"observer" () in
+      (match
+         Client.multi c
+           [ op_create ~ephemeral:true "/presence/me" "hi"; op_write "/log" "1" ]
+       with
+       | Ok _ -> ()
+       | Error (i, e) ->
+         Alcotest.failf "multi failed at %d: %a" i Types.pp_op_error e);
+      check bool_c "present" true
+        (Option.is_some (Client.get observer "/presence/me"));
+      Client.close c;
+      Des.Proc.sleep 6.;
+      check bool_c "expired with the session" false
+        (Option.is_some (Client.get observer "/presence/me"));
+      check bool_c "persistent op stays" true
+        (Option.is_some (Client.get observer "/log"));
+      Client.close observer)
+
+let test_multi_snapshot_roundtrip () =
+  let s = Store.create () in
+  let ok_cmd =
+    mk_multi ~session:1 ~req:1
+      [ op_create ~sequential:true "/q/item-" "a"; op_write "/k" "v";
+        op_delete ~must_exist:false "/absent" ]
+  in
+  let failed_cmd = mk_multi ~session:2 ~req:1 [ op_write "/j" "v"; op_delete "/absent" ] in
+  let ok_result, _ = Store.apply s ok_cmd in
+  let failed_result, _ = Store.apply s failed_cmd in
+  let text = Data.Sexp.to_string (Store.to_sexp s) in
+  match Result.bind (Data.Sexp.of_string text) Store.of_sexp with
+  | Error e -> Alcotest.failf "restore: %s" e
+  | Ok restored ->
+    check string_c "codec is stable" text
+      (Data.Sexp.to_string (Store.to_sexp restored));
+    check bool_c "cached multi result survives" true
+      (fst (Store.apply restored ok_cmd) = ok_result);
+    check bool_c "cached multi failure survives" true
+      (fst (Store.apply restored failed_cmd) = failed_result);
+    check int_c "no re-execution" 1 (List.length (Store.children restored "/q"))
+
+(* qcheck: a multi either equals its ops applied one by one as single
+   commands (same results, same state, same sequential counter), or fails
+   at the first op a single command would fail at and leaves the state —
+   counter included — as it was. *)
+let multi_op_gen =
+  let open QCheck.Gen in
+  let key_gen = oneofl [ "/m/a"; "/m/b"; "/m/c"; "/m/item-" ] in
+  let value_gen = oneofl [ "x"; "y" ] in
+  frequency
+    [
+      (3, map3 (fun k v sq -> op_create ~sequential:sq k v) key_gen value_gen bool);
+      (2, map2 op_write key_gen value_gen);
+      (2, map2 (fun k m -> op_delete ~must_exist:m k) key_gen bool);
+    ]
+
+let print_op = function
+  | Types.Op_create { key; value; sequential; _ } ->
+    Printf.sprintf "create %s=%s seq=%b" key value sequential
+  | Types.Op_write { key; value } -> Printf.sprintf "write %s=%s" key value
+  | Types.Op_delete { key; must_exist } ->
+    Printf.sprintf "delete %s must=%b" key must_exist
+
+let multi_arbitrary =
+  QCheck.make
+    ~print:(fun (pre, ops) ->
+      Printf.sprintf "pre [%s] multi [%s]"
+        (String.concat "; " (List.map print_op pre))
+        (String.concat "; " (List.map print_op ops)))
+    QCheck.Gen.(
+      pair (list_size (int_bound 6) multi_op_gen)
+        (list_size (int_range 1 6) multi_op_gen))
+
+let multi_atomic_prop =
+  QCheck.Test.make ~name:"multi = its ops one by one, or no change at all"
+    ~count:300 multi_arbitrary (fun (pre, ops) ->
+      let req = ref 0 in
+      let single store op =
+        incr req;
+        let cmd =
+          match op with
+          | Types.Op_create { key; value; ephemeral; sequential } ->
+            Types.Create { session = 1; req = !req; key; value; ephemeral; sequential }
+          | Types.Op_write { key; value } ->
+            Types.Write { session = 1; req = !req; key; value; expect_version = None }
+          | Types.Op_delete { key; must_exist } ->
+            if must_exist || Store.exists store key then
+              Types.Delete { session = 1; req = !req; key; expect_version = None }
+            else Types.Noop
+        in
+        fst (Store.apply store cmd)
+      in
+      let store = Store.create () and twin = Store.create () in
+      List.iter (fun op -> ignore (single store op); ignore (single twin op)) pre;
+      let view st =
+        ( List.map (Store.get st) [ "/m/a"; "/m/b"; "/m/c" ],
+          List.map (fun k -> (k, Store.get st k)) (Store.children st "/m"),
+          next_seq_name st )
+      in
+      let before = view store in
+      incr req;
+      match fst (Store.apply store (mk_multi ~session:2 ~req:!req ops)) with
+      | Types.Multi_ok results ->
+        let expected = List.map (single twin) ops in
+        results = expected && view store = view twin
+      | Types.Multi_failed (i, e) ->
+        let rec first_failure j = function
+          | [] -> None
+          | op :: rest ->
+            (match single twin op with
+             | Types.Op_failed e -> Some (j, e)
+             | _ -> first_failure (j + 1) rest)
+        in
+        first_failure 0 ops = Some (i, e) && view store = before
+      | _ -> false)
+
 let suite =
   [
     ("store: create/get", `Quick, test_store_create_get);
@@ -871,6 +1172,16 @@ let suite =
       `Quick,
       test_rejoin_after_compaction_repeated_crashes );
     QCheck_alcotest.to_alcotest store_snapshot_roundtrip_prop;
+    ("multi: all or nothing", `Quick, test_multi_all_or_nothing);
+    ("multi: changed keys listed once", `Quick, test_multi_changed_keys_once);
+    ("multi: one watch firing per changed key", `Quick, test_multi_watch_fires_once);
+    ("multi: request dedup", `Quick, test_multi_dedup_exactly_once);
+    ( "multi: exactly once across a leader change",
+      `Quick,
+      test_multi_exactly_once_across_leader_change );
+    ("multi: ephemerals expire with the session", `Quick, test_multi_ephemeral_expires);
+    ("multi: snapshot round-trip with a cached result", `Quick, test_multi_snapshot_roundtrip);
+    QCheck_alcotest.to_alcotest multi_atomic_prop;
   ]
 
 let () = Alcotest.run "coord" [ ("coord", suite) ]

@@ -1,8 +1,8 @@
 (* Tests for the commit hot path behind the saturation-throughput bench:
    the coordination-service group-commit batcher (quorum-gated acks,
    size/timeout flush triggers, exactly-once across leader crashes, the
-   unsafe-ack durability ablation) and the controller's deduplicated
-   wake-on-release passes. *)
+   unsafe-ack durability ablation), the controller's deduplicated
+   wake-on-release passes, and the write budget per committed txn. *)
 
 open Coord
 
@@ -344,6 +344,103 @@ let test_wake_passes_deduplicated () =
      Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
   if not !finished then Alcotest.fail "scenario did not finish before horizon"
 
+(* ------------------------------------------------------------------ *)
+(* Write budget: replicated coordination commands per committed txn *)
+
+(* Each session toggles its own VM on its own host, so nothing contends
+   and every coordination command is write-path overhead.  The budget is
+   the leader's commit-index delta over the load: every replicated
+   command, whoever issued it.  Each step of a transaction's life — the
+   client's request, the controller's input burst and scheduler pass, a
+   worker's take and its finish, the burst that folds the result — writes
+   through one atomic multi, about 3.75 commands per txn here; the chain
+   of single-key commands they replaced cost about 16, far past the
+   budget of 6. *)
+let test_write_budget () =
+  let sessions = 4 and toggles = 8 in
+  let sim = Des.Sim.create ~seed:1 () in
+  let size =
+    { Tcloud.Setup.small with
+      Tcloud.Setup.compute_hosts = sessions;
+      prepopulated_vms_per_host = 1 }
+  in
+  let inv = Tcloud.Setup.build ~rng:(Des.Sim.rng sim) size in
+  let spec =
+    { Tropic.Platform.default_spec with
+      Tropic.Platform.controllers = 1;
+      workers = 4;
+      mode = Tropic.Platform.Logical_only 0.002;
+      coord_config =
+        { Types.default_config with
+          Types.op_service_time = 0.005;
+          group_timeout = 0.001 };
+      controller_config = Tcloud.Setup.controller_config;
+      submit_clients = sessions }
+  in
+  let platform =
+    Tropic.Platform.create spec inv.Tcloud.Setup.env
+      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
+  in
+  let commit_index () =
+    let ens = Tropic.Platform.coord platform in
+    match Ensemble.leader_id ens with
+    | Some id -> Replica.commit_index (Ensemble.replica ens id)
+    | None -> Alcotest.fail "no coordination leader"
+  in
+  let takes () =
+    Array.fold_left
+      (fun n w -> n + Tropic.Worker.take_attempts w)
+      0 (Tropic.Platform.workers platform)
+  in
+  let committed = ref 0 and finished = ref false in
+  ignore
+    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
+         ignore (Tropic.Platform.await_leader_controller platform);
+         Des.Proc.sleep 2.;
+         let cmds0 = commit_index () and takes0 = takes () in
+         let remaining = ref sessions in
+         for h = 0 to sessions - 1 do
+           ignore
+             (Des.Proc.spawn ~name:(Printf.sprintf "session%d" h) sim (fun () ->
+                  let host =
+                    Data.Path.to_string (Tcloud.Setup.compute_path h)
+                  in
+                  let vm = Tcloud.Setup.prepop_vm_name ~host:h ~index:0 in
+                  for k = 0 to (2 * toggles) - 1 do
+                    let proc, args =
+                      if k mod 2 = 0 then
+                        ("startVM", Tcloud.Procs.start_vm_args ~host ~vm)
+                      else ("stopVM", Tcloud.Procs.stop_vm_args ~host ~vm)
+                    in
+                    match Tropic.Platform.run_txn platform ~proc ~args with
+                    | Tropic.Txn.Committed -> incr committed
+                    | other ->
+                      Alcotest.failf "%s %s ended %s" proc vm
+                        (Tropic.Txn.state_to_string other)
+                  done;
+                  decr remaining))
+         done;
+         while !remaining > 0 do
+           Des.Proc.sleep 0.05
+         done;
+         let per_txn delta = float_of_int delta /. float_of_int !committed in
+         let cmds = per_txn (commit_index () - cmds0) in
+         let take_ratio = per_txn (takes () - takes0) in
+         check int_c "every toggle committed" (sessions * 2 * toggles) !committed;
+         check bool_c
+           (Printf.sprintf "replicated commands per txn %.2f <= 6" cmds)
+           true (cmds <= 6.);
+         check bool_c
+           (Printf.sprintf "take attempts per txn %.2f <= 1.5" take_ratio)
+           true (take_ratio <= 1.5);
+         finished := true));
+  ignore (Des.Sim.run ~until:600. sim);
+  (match Des.Sim.failures sim with
+   | [] -> ()
+   | (who, exn) :: _ ->
+     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
+  if not !finished then Alcotest.fail "scenario did not finish before horizon"
+
 let () =
   Alcotest.run "throughput"
     [
@@ -368,5 +465,8 @@ let () =
           ( "wake-on-release passes are deduplicated",
             `Quick,
             test_wake_passes_deduplicated );
+          ( "write budget: at most 6 replicated commands per txn",
+            `Quick,
+            test_write_budget );
         ] );
     ]
