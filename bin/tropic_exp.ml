@@ -350,17 +350,16 @@ let chaos_run quick seeds first_seed schedule_name build_name replay_seed
       (first_seed + count - 1) (List.length schedules)
       (String.concat ", "
          (List.map (fun s -> s.Chaos.Schedule.name) schedules));
-    let started = Sys.time () in
-    let sweep =
-      Chaos.Runner.sweep config ~schedules ~seeds:seed_list
-        ~progress:(print_chaos_result ~with_trace:false)
+    let sweep, elapsed =
+      Experiments.Common.time_it (fun () ->
+          Chaos.Runner.sweep config ~schedules ~seeds:seed_list
+            ~progress:(print_chaos_result ~with_trace:false))
     in
     let violating = sweep.Chaos.Runner.violating in
     Printf.printf
       "\n%d runs, %d with violations (%.1f s wall clock)\n"
       (List.length sweep.Chaos.Runner.runs)
-      (List.length violating)
-      (Sys.time () -. started);
+      (List.length violating) elapsed;
     List.iter
       (fun r -> Printf.printf "  %s\n" (Chaos.Runner.reproducer r))
       violating;

@@ -197,48 +197,37 @@ let remove_replica c ~id =
 (* ------------------------------------------------------------------ *)
 (* Queries *)
 
-let query c q =
-  match rpc c (Types.Query q) with
+let query c ~watch query =
+  match rpc c (Types.Query { query; watch }) with
   | Types.Query_result result -> result
   | other -> protocol_error "query" other
 
-let get c key =
-  match query c (Types.Get key) with
-  | Types.Got entry -> entry
-  | Types.Children_are _ | Types.First_child_is _ | Types.First_child_value_is _
-  | Types.Child_count _ | Types.Watch_set ->
-    failwith "Coord.Client.get: bad query result"
+let bad_result what = failwith ("Coord.Client." ^ what ^ ": bad query result")
 
-let get_children c prefix =
-  match query c (Types.Children prefix) with
+let get ?(watch = false) c key =
+  match query c ~watch (Types.Get key) with
+  | Types.Got entry -> entry
+  | _ -> bad_result "get"
+
+let get_children ?(watch = false) c prefix =
+  match query c ~watch (Types.Children prefix) with
   | Types.Children_are keys -> keys
-  | Types.Got _ | Types.First_child_is _ | Types.First_child_value_is _
-  | Types.Child_count _ | Types.Watch_set ->
-    failwith "Coord.Client.get_children: bad query result"
+  | _ -> bad_result "get_children"
 
 let first_child c prefix =
-  match query c (Types.First_child prefix) with
+  match query c ~watch:false (Types.First_child prefix) with
   | Types.First_child_is k -> k
-  | Types.Got _ | Types.Children_are _ | Types.First_child_value_is _
-  | Types.Child_count _ | Types.Watch_set ->
-    failwith "Coord.Client.first_child: bad query result"
+  | _ -> bad_result "first_child"
 
-let first_child_value c prefix =
-  match query c (Types.First_child_value prefix) with
+let first_child_value ?(watch = false) c prefix =
+  match query c ~watch (Types.First_child_value prefix) with
   | Types.First_child_value_is r -> r
-  | Types.Got _ | Types.Children_are _ | Types.First_child_is _
-  | Types.Child_count _ | Types.Watch_set ->
-    failwith "Coord.Client.first_child_value: bad query result"
+  | _ -> bad_result "first_child_value"
 
 let count_children c prefix =
-  match query c (Types.Count_children prefix) with
+  match query c ~watch:false (Types.Count_children prefix) with
   | Types.Child_count n -> n
-  | Types.Got _ | Types.Children_are _ | Types.First_child_is _
-  | Types.First_child_value_is _ | Types.Watch_set ->
-    failwith "Coord.Client.count_children: bad query result"
-
-let watch_key c key = ignore (query c (Types.Watch_key key))
-let watch_children c prefix = ignore (query c (Types.Watch_children prefix))
+  | _ -> bad_result "count_children"
 
 let await_change c ~timeout =
   Option.is_some (Des.Channel.recv_timeout c.event_channel ~timeout)

@@ -6,10 +6,14 @@
     changes — retries are safe because the state machine deduplicates on
     [(session, req)].
 
-    Watch events arrive asynchronously; they are surfaced both on
-    {!events} and through {!await_change}, which recipes use as a wake-up
-    hint before re-checking state (one-shot watches may be lost on a
-    leader change, so all waiting is timeout-based). *)
+    {!get}, {!get_children} and {!first_child_value} can be watched reads
+    ([~watch:true]): the leader arms a one-shot watch in the same step
+    that serves the read, so a change made after the read always fires
+    it.  Watch events arrive
+    asynchronously; they are surfaced both on {!events} and through
+    {!await_change}, which recipes use as a wake-up hint before
+    re-checking state (one-shot watches may be lost on a leader change,
+    so all waiting is timeout-based). *)
 
 type t
 
@@ -61,23 +65,21 @@ val multi :
 val add_replica : t -> id:int -> (unit, Types.op_error) result
 val remove_replica : t -> id:int -> (unit, Types.op_error) result
 
-(** {1 Queries} — served by the leader from applied state. *)
+(** {1 Queries} — served by the leader from applied state.  With
+    [~watch:true] (default [false]) the read also arms a one-shot watch:
+    a key watch on the key for {!get}, a child watch on the prefix for
+    {!get_children} and {!first_child_value}. *)
 
-val get : t -> string -> (string * int) option
-val get_children : t -> string -> string list
+val get : ?watch:bool -> t -> string -> (string * int) option
+val get_children : ?watch:bool -> t -> string -> string list
 
 (** Smallest direct child, without transferring the whole listing. *)
 val first_child : t -> string -> string option
 
 (** Smallest direct child together with its value, in one round trip. *)
-val first_child_value : t -> string -> (string * string) option
+val first_child_value : ?watch:bool -> t -> string -> (string * string) option
 
 val count_children : t -> string -> int
-
-(** Arm a one-shot watch. *)
-val watch_key : t -> string -> unit
-
-val watch_children : t -> string -> unit
 
 (** {1 Events} *)
 

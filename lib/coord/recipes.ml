@@ -1,6 +1,28 @@
 let poll_interval = 1.0
 (* Watches are only hints; every blocking loop re-checks at least this often. *)
 
+(* A reader that need not wait arms nothing.  The watched read arms its
+   watch in the same leader step as the read, so no change slips in
+   between.  An event spends its watch, so the next read starts unwatched
+   again; a timeout may mean a leader change lost the watch, so the next
+   read re-arms straight away. *)
+let read_step ~read ~wait ~watch =
+  let rec go ~watch =
+    match read ~watch with
+    | Some v -> (Some v, false)
+    | None when not watch -> go ~watch:true
+    | None -> (None, not (wait ()))
+  in
+  go ~watch
+
+let await_read ~read ~wait =
+  let rec loop ~watch =
+    match read_step ~read ~wait ~watch with
+    | Some v, _ -> v
+    | None, watch -> loop ~watch
+  in
+  loop ~watch:false
+
 (* ------------------------------------------------------------------ *)
 (* Queue *)
 
@@ -31,19 +53,27 @@ let peek client ~queue =
 let queue_length client ~queue = Client.count_children client queue
 
 let dequeue client ~queue ?timeout () =
-  let deadline =
-    Option.map (fun d -> Des.Proc.now () +. d) timeout
-  in
-  let remaining () =
-    match deadline with
-    | None -> poll_interval
-    | Some d -> Float.min poll_interval (d -. Des.Proc.now ())
-  in
+  let deadline = Option.map (fun d -> Des.Proc.now () +. d) timeout in
   let expired () =
     match deadline with None -> false | Some d -> Des.Proc.now () >= d
   in
+  let wait () =
+    let budget =
+      match deadline with
+      | None -> poll_interval
+      | Some d -> Float.min poll_interval (d -. Des.Proc.now ())
+    in
+    Client.await_change client ~timeout:budget
+  in
+  (* [Some None] ends the wait empty-handed once the deadline passes. *)
+  let read ~watch =
+    match Client.first_child_value ~watch client queue with
+    | Some item -> Some (Some item)
+    | None -> if expired () then Some None else None
+  in
   let rec loop () =
-    match Client.first_child_value client queue with
+    match await_read ~read ~wait with
+    | None -> None
     | Some (key, value) ->
       (match Client.delete client ~key () with
        | Ok () -> Some (key, value)
@@ -52,18 +82,6 @@ let dequeue client ~queue ?timeout () =
          failwith
            (Printf.sprintf "Recipes.dequeue: %s"
               (Format.asprintf "%a" Types.pp_op_error e)))
-    | None ->
-      if expired () then None
-      else begin
-        Client.watch_children client queue;
-        (* Re-check: an item may have arrived before the watch was set. *)
-        if head_item client ~queue <> None then loop ()
-        else begin
-          let wait = remaining () in
-          if wait > 0. then ignore (Client.await_change client ~timeout:wait);
-          if expired () then None else loop ()
-        end
-      end
   in
   loop ()
 
@@ -95,7 +113,9 @@ let await_leadership client ~election ~member =
     | head :: _ when String.equal head member -> ()
     | group ->
       (* Watch the member just ahead of us (the classic herd-avoiding
-         pattern), then re-check. *)
+         pattern).  The watched read arms the watch and confirms the
+         predecessor is still there in one step; re-check the group once
+         it is gone.  A timed-out wait re-arms the watch directly. *)
       let predecessor =
         let rec find_prev = function
           | a :: b :: _ when String.equal b member -> a
@@ -104,8 +124,13 @@ let await_leadership client ~election ~member =
         in
         find_prev group
       in
-      Client.watch_key client predecessor;
-      ignore (Client.await_change client ~timeout:poll_interval);
+      let rec wait () =
+        match Client.get ~watch:true client predecessor with
+        | None -> ()
+        | Some _ ->
+          if not (Client.await_change client ~timeout:poll_interval) then wait ()
+      in
+      wait ();
       loop ()
   in
   loop ()

@@ -5,6 +5,25 @@
     state on a timeout, so they stay correct when one-shot watches are lost
     across a coordination-service leader change. *)
 
+(** {1 Waiting on a read} *)
+
+(** [await_read ~read ~wait] blocks until [read ~watch] returns [Some v],
+    and returns [v].  The first read is unwatched; when it misses, the
+    next read is a watched read ([~watch:true]) and every miss after a
+    watched read calls [wait ()], which blocks until a watch event
+    ([true]) or a timeout ([false]).  After an event the next read is
+    unwatched again; after a timeout it is watched, re-arming a watch a
+    coordination-service leader change may have lost. *)
+val await_read : read:(watch:bool -> 'a option) -> wait:(unit -> bool) -> 'a
+
+(** One step of {!await_read} for a caller that must regain control after
+    each wait: reads until a hit or one [wait ()], starting with a watched
+    read iff [~watch].  Returns the item, if any, and the [~watch] to pass
+    to the next step. *)
+val read_step :
+  read:(watch:bool -> 'a option) -> wait:(unit -> bool) -> watch:bool ->
+  'a option * bool
+
 (** {1 Distributed FIFO queue} *)
 
 (** [enqueue client ~queue value] appends an item; returns its key. *)

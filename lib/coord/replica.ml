@@ -547,7 +547,7 @@ let become_leader r =
 let start_election r =
   if not (r.voting && is_member r) then
     (* Learners and removed servers do not campaign (Raft §4.2.1/§4.2.3);
-       push the deadline out instead of spinning on it every tick. *)
+       push the deadline out so the main loop sleeps a full timeout. *)
     reset_election_deadline r
   else begin
     r.term <- r.term + 1;
@@ -768,7 +768,14 @@ let handle_peer r src pm =
 (* ------------------------------------------------------------------ *)
 (* Client request handling *)
 
-let serve_query r src query =
+let serve_query r src ~watch query =
+  if watch then begin
+    match query with
+    | Types.Get key -> add_watch r.key_watches key src
+    | Types.Children prefix | Types.First_child prefix
+    | Types.First_child_value prefix | Types.Count_children prefix ->
+      add_watch r.child_watches prefix src
+  end;
   match query with
   | Types.Get key -> Types.Got (Store.get r.machine key)
   | Types.Children prefix -> Types.Children_are (Store.children r.machine prefix)
@@ -784,12 +791,6 @@ let serve_query r src query =
           | None -> None))
   | Types.Count_children prefix ->
     Types.Child_count (Store.count_children r.machine prefix)
-  | Types.Watch_key key ->
-    add_watch r.key_watches key src;
-    Types.Watch_set
-  | Types.Watch_children prefix ->
-    add_watch r.child_watches prefix src;
-    Types.Watch_set
 
 (* Membership changes intercept the submit path: the entry must not be
    appended blindly — single change at a time, adds of unknown nodes go
@@ -863,8 +864,9 @@ let handle_client r src ~req_id ~session_timeout request =
       replicate_all r;
       advance_commit r;
       send_resp r src ~req_id Types.Pong
-    | Types.Query query ->
-      send_resp r src ~req_id (Types.Query_result (serve_query r src query))
+    | Types.Query { query; watch } ->
+      send_resp r src ~req_id
+        (Types.Query_result (serve_query r src ~watch query))
     | Types.Submit ((Types.Add_replica _ | Types.Remove_replica _) as cmd) ->
       Des.Station.request r.station ~service:r.config.Types.op_service_time;
       if r.role <> Leader then send_resp r src ~req_id (not_leader r)
@@ -917,13 +919,17 @@ let handle_client r src ~req_id ~session_timeout request =
 (* ------------------------------------------------------------------ *)
 (* Main loop and lifecycle *)
 
+(* The loop wakes only on work: a leader blocks on its inbox (its
+   heartbeats come from the pump), a follower or candidate waits at most
+   until its election deadline.  Roles change only inside the handlers
+   below, so the wait chosen at the top of an iteration stays right. *)
 let main_loop r () =
   reset_election_deadline r;
+  let inbox = Des.Net.inbox r.net r.rid in
   while not r.stop_requested do
     (match
-       Des.Channel.recv_timeout
-         (Des.Net.inbox r.net r.rid)
-         ~timeout:r.config.Types.tick
+       if r.role = Leader then Some (Des.Channel.recv inbox)
+       else Des.Channel.recv_timeout inbox ~timeout:(r.election_deadline -. now r)
      with
      | Some (src, Types.Peer pm) -> handle_peer r src pm
      | Some (src, Types.Client_req { req_id; session_timeout; request }) ->

@@ -77,8 +77,6 @@ type query =
   | First_child of string         (* smallest direct child, if any *)
   | First_child_value of string   (* smallest child and its value *)
   | Count_children of string
-  | Watch_key of string           (* one-shot watch *)
-  | Watch_children of string
 
 type watch_kind = Key_watch | Child_watch
 
@@ -90,7 +88,6 @@ type query_result =
   | First_child_is of string option
   | First_child_value_is of (string * string) option
   | Child_count of int
-  | Watch_set
 
 (* ------------------------------------------------------------------ *)
 (* Wire messages *)
@@ -137,7 +134,10 @@ type request =
   | Ping
   | Goodbye (* graceful close: expire this session's ephemerals now *)
   | Submit of cmd
-  | Query of query
+  | Query of { query : query; watch : bool }
+      (* a watched read also arms a one-shot watch in the same handler, so
+         no change can slip in between the read and the arming: a key
+         watch for [Get], a child watch on the prefix otherwise *)
 
 type response =
   | Pong
@@ -166,7 +166,6 @@ type msg =
 type config = {
   heartbeat_interval : float;
   election_timeout : float; (* base; each election waits 1–2 × this *)
-  tick : float;             (* replica loop granularity *)
   op_service_time : float;  (* leader service time per replicated op *)
   session_check_interval : float;
   default_session_timeout : float; (* for sessions learned implicitly *)
@@ -190,7 +189,6 @@ let default_config =
   {
     heartbeat_interval = 0.05;
     election_timeout = 0.4;
-    tick = 0.02;
     op_service_time = 0.0008;
     session_check_interval = 1.0;
     default_session_timeout = 10.0;

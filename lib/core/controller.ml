@@ -158,6 +158,8 @@ type t = {
       (* terminal cross-coordinator records: re-send Finish *)
   mutable leading : bool;
   mutable stopped : bool;
+  mutable input_watch : bool;
+      (* the next read of inputQ is a watched read (Recipes.read_step) *)
   mutable procs : Des.Proc.t list;
   st : stats;
 }
@@ -298,6 +300,7 @@ let create ?trace ?shard ?gclient ~name ~client ~env
     recovered_cross_terminal = [];
     leading = false;
     stopped = false;
+    input_watch = false;
     procs = [];
     st = fresh_stats ();
   }
@@ -1927,15 +1930,13 @@ let process_item t ~key ~payload =
    handler above is idempotent. *)
 let next_item t =
   let queue = Proto.input_queue_ns t.ns in
-  match Coord.Client.first_child_value t.client queue with
-  | Some item -> Some item
-  | None ->
-    Coord.Client.watch_children t.client queue;
-    (match Coord.Client.first_child_value t.client queue with
-     | Some item -> Some item
-     | None ->
-       ignore (Coord.Client.await_change t.client ~timeout:1.0);
-       None)
+  let read ~watch = Coord.Client.first_child_value ~watch t.client queue in
+  let wait () = Coord.Client.await_change t.client ~timeout:1.0 in
+  let item, watch =
+    Coord.Recipes.read_step ~read ~wait ~watch:t.input_watch
+  in
+  t.input_watch <- watch;
+  item
 
 (* §4: inconsistencies are "detected by periodically comparing the data
    between the two layers", and repair runs at an operator-chosen

@@ -363,8 +363,8 @@ let submit t ~proc ~args =
   | Ok seq -> (seq * t.pspec.shards) + sid
   | Error reason -> failwith ("Platform.submit: " ^ reason)
 
-let txn_state_via client ~ns txn_id =
-  match Coord.Client.get client (Txn.record_key_ns ns txn_id) with
+let txn_state_via ?watch client ~ns txn_id =
+  match Coord.Client.get ?watch client (Txn.record_key_ns ns txn_id) with
   | None -> None
   | Some (value, _) ->
     (match Txn.of_string value with
@@ -403,20 +403,13 @@ let await t txn_id =
   Fun.protect
     ~finally:(fun () -> unregister_awaiter t key wakeup)
     (fun () ->
-      let rec wait () =
-        match txn_state_via client ~ns txn_id with
-        | Some state when Txn.is_terminal state -> state
-        | Some _ | None ->
-          Coord.Client.watch_key client key;
-          (* Re-check: the transition may have happened before the watch was
-             armed; fall back to a poll in case the event is lost. *)
-          (match txn_state_via client ~ns txn_id with
-           | Some state when Txn.is_terminal state -> state
-           | Some _ | None ->
-             ignore (Des.Channel.recv_timeout wakeup ~timeout:1.0);
-             wait ())
-      in
-      wait ())
+      Coord.Recipes.await_read
+        ~read:(fun ~watch ->
+          match txn_state_via ~watch client ~ns txn_id with
+          | Some state when Txn.is_terminal state -> Some state
+          | Some _ | None -> None)
+        ~wait:(fun () ->
+          Option.is_some (Des.Channel.recv_timeout wakeup ~timeout:1.0)))
 
 let run_txn t ~proc ~args =
   let txn_id = submit t ~proc ~args in

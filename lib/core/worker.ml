@@ -230,25 +230,21 @@ let take_and_run w (key, payload) =
    all but one take would be wasted.  Each worker instead aims at the
    item its ordinal selects among those queued (reads are not
    replicated), so idle workers spread over a backlog. *)
-let rec pick w queue =
-  match Coord.Client.get_children w.client queue with
+let rec pick w queue ~watch =
+  match Coord.Client.get_children ~watch w.client queue with
   | [] -> None
   | items ->
     let key = List.nth items (w.ordinal mod List.length items) in
     (match Coord.Client.get w.client key with
      | Some (payload, _) -> Some (key, payload)
-     | None -> pick w queue (* taken meanwhile: look again *))
+     | None -> pick w queue ~watch:false (* taken meanwhile: look again *))
 
 let run w () =
   let queue = Proto.phy_queue_ns w.ns in
   while not w.stopped do
-    match pick w queue with
-    | Some item -> take_and_run w item
-    | None ->
-      Coord.Client.watch_children w.client queue;
-      (match pick w queue with
-       | Some item -> take_and_run w item
-       | None -> ignore (Coord.Client.await_change w.client ~timeout:1.0))
+    take_and_run w
+      (Coord.Recipes.await_read ~read:(pick w queue) ~wait:(fun () ->
+           Coord.Client.await_change w.client ~timeout:1.0))
   done
 
 let start w =

@@ -39,27 +39,44 @@ let finish p r =
   p.joiners <- [];
   List.iter (fun resume -> resume (Ok r)) joiners
 
+(* True while process code is on the OCaml stack: inside [start] or a
+   resumed continuation.  At most one process is ever on the stack, since
+   a wake issued from process code never runs the woken process inline. *)
+let on_stack = ref false
+
+let run_on_stack f =
+  let outer = !on_stack in
+  on_stack := true;
+  match f () with
+  | () -> on_stack := outer
+  | exception e ->
+    on_stack := outer;
+    raise e
+
 (* Park the continuation [k]: hand a one-shot resumer to [register], and
    remember an abort hook so that [kill] can resume with an exception.
-   Resumption always goes through a zero-delay event, so a process never
-   runs inside another process's stack frame. *)
+   The resumer follows the wake rule (proc.mli): inline when no process
+   is on the stack, through a zero-delay event otherwise. *)
 let handle_suspend :
     type b. t -> (t -> b resumer -> unit -> unit) -> (b, unit) Effect.Deep.continuation -> unit
   =
  fun p register k ->
   let resumed = ref false in
   let cleanup = ref (fun () -> ()) in
+  let wake res () =
+    p.state <- Running;
+    if p.kill_requested then Effect.Deep.discontinue k Killed
+    else
+      match res with
+      | Ok v -> Effect.Deep.continue k v
+      | Error e -> Effect.Deep.discontinue k e
+  in
   let resume res =
     if not !resumed then begin
       resumed := true;
-      ignore
-        (Sim.after p.sim 0. (fun () ->
-             p.state <- Running;
-             if p.kill_requested then Effect.Deep.discontinue k Killed
-             else
-               match res with
-               | Ok v -> Effect.Deep.continue k v
-               | Error e -> Effect.Deep.discontinue k e))
+      if !on_stack then
+        ignore (Sim.after p.sim 0. (fun () -> run_on_stack (wake res)))
+      else run_on_stack (wake res)
     end
   in
   let abort e =
@@ -75,25 +92,26 @@ let handle_suspend :
 
 let start p body =
   p.state <- Running;
-  Effect.Deep.match_with body ()
-    {
-      retc = (fun () -> finish p (Ok ()));
-      exnc =
-        (fun e ->
-          (match e with
-           | Killed -> ()
-           | e -> Sim.record_failure p.sim p.pname e);
-          finish p (Error e));
-      effc =
-        (fun (type c) (eff : c Effect.t) ->
-          match eff with
-          | Suspend register ->
-            Some
-              (fun (k : (c, unit) Effect.Deep.continuation) ->
-                handle_suspend p register k)
-          | Self -> Some (fun k -> Effect.Deep.continue k p)
-          | _ -> None);
-    }
+  run_on_stack (fun () ->
+      Effect.Deep.match_with body ()
+        {
+          retc = (fun () -> finish p (Ok ()));
+          exnc =
+            (fun e ->
+              (match e with
+               | Killed -> ()
+               | e -> Sim.record_failure p.sim p.pname e);
+              finish p (Error e));
+          effc =
+            (fun (type c) (eff : c Effect.t) ->
+              match eff with
+              | Suspend register ->
+                Some
+                  (fun (k : (c, unit) Effect.Deep.continuation) ->
+                    handle_suspend p register k)
+              | Self -> Some (fun k -> Effect.Deep.continue k p)
+              | _ -> None);
+        })
 
 let spawn ?name sim body =
   incr counter;

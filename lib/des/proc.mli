@@ -5,6 +5,12 @@
     receive, …); suspensions are resumed by simulator events, so all process
     interleaving is deterministic.
 
+    Wake rule: a resumer called from outside any process (a timer or
+    network event, or a top-level caller) runs the process inline, in
+    that event; one called from process code schedules the wake as a
+    zero-delay event, so a process never runs inside another process's
+    stack frame and a woken process runs only after the waker suspends.
+
     Processes can be {!kill}ed: a killed process is resumed with the
     {!Killed} exception at its current (or next) suspension point, which
     unwinds its stack and runs any [Fun.protect] finalizers — the mechanism

@@ -13,9 +13,9 @@ let run_scenario ?(horizon = 36_000.) sim body =
   if not !finished then failwith "experiment did not finish before horizon"
 
 let time_it f =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let result = f () in
-  (result, Sys.time () -. t0)
+  (result, Unix.gettimeofday () -. t0)
 
 let section title =
   Printf.printf "\n=== %s ===\n%!" title

@@ -6,8 +6,7 @@
     @raise Failure if a process crashed or [body] did not finish. *)
 val run_scenario : ?horizon:float -> Des.Sim.t -> (unit -> unit) -> unit
 
-(** Wall-clock seconds spent evaluating [f] (monotonic-ish, via
-    [Sys.time]'s processor time — the experiments are CPU-bound). *)
+(** Wall-clock seconds spent evaluating [f], via [Unix.gettimeofday]. *)
 val time_it : (unit -> 'a) -> 'a * float
 
 (** Print a section header to stdout. *)

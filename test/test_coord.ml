@@ -188,7 +188,9 @@ let test_watch_key_fires () =
       let c = Ensemble.connect ens ~name:"watcher" () in
       let w = Ensemble.connect ens ~name:"writer" () in
       ignore (ok_create "create" (Client.create w ~key:"/watched" ~value:"0" ()));
-      Client.watch_key c "/watched";
+      (match Client.get ~watch:true c "/watched" with
+       | Some ("0", _) -> ()
+       | _ -> Alcotest.fail "watched read returned the wrong value");
       ignore
         (Des.Proc.spawn ~name:"trigger" (Ensemble.sim ens) (fun () ->
              Des.Proc.sleep 0.5;
@@ -202,7 +204,8 @@ let test_watch_children_fires () =
   with_ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"watcher" () in
       let w = Ensemble.connect ens ~name:"writer" () in
-      Client.watch_children c "/dir";
+      check (Alcotest.list string_c) "empty dir" []
+        (Client.get_children ~watch:true c "/dir");
       ignore
         (Des.Proc.spawn ~name:"trigger" (Ensemble.sim ens) (fun () ->
              Des.Proc.sleep 0.5;
@@ -210,6 +213,58 @@ let test_watch_children_fires () =
       check bool_c "child watch fired" true (Client.await_change c ~timeout:5.);
       Client.close c;
       Client.close w)
+
+(* The leader arms a watched read's watch in the same step that serves the
+   read, so there is no window between them: a create issued the moment
+   an empty watched read returns still fires the watch, and one racing
+   the read is either seen by it or fires the watch. *)
+let test_watched_read_arms_atomically () =
+  with_ensemble (fun sim ens ->
+      let c = Ensemble.connect ens ~name:"reader" () in
+      let w = Ensemble.connect ens ~name:"writer" () in
+      check bool_c "empty watched read" true
+        (Client.first_child_value ~watch:true c "/q" = None);
+      ignore (ok_create "create" (Client.create w ~key:"/q/a" ~value:"x" ()));
+      check bool_c "create right after the read fires" true
+        (Client.await_change c ~timeout:0.5);
+      List.iteri
+        (fun i offset ->
+          let dir = Printf.sprintf "/race%d" i in
+          ignore
+            (Des.Proc.spawn ~name:"racer" sim (fun () ->
+                 Des.Proc.sleep offset;
+                 ignore (Client.create w ~key:(dir ^ "/a") ~value:"x" ())));
+          match Client.first_child_value ~watch:true c dir with
+          | Some _ -> ()
+          | None ->
+            check bool_c
+              (Printf.sprintf "racing create at +%gs fires" offset)
+              true
+              (Client.await_change c ~timeout:0.5))
+        [ 0.; 0.0005; 0.001; 0.0015; 0.002; 0.003; 0.005 ];
+      Client.close c;
+      Client.close w)
+
+(* With nothing to do, nothing should run but heartbeats: a leader blocks
+   on its inbox, a follower sleeps until its election deadline, and the
+   client sleeps between pings.  Heartbeats cost about 100 events per
+   virtual second here (every 50 ms: one pump wake, two appends, two
+   replies); replicas polling their inboxes on a 20 ms tick cost over
+   400. *)
+let test_idle_event_budget () =
+  with_ensemble (fun sim ens ->
+      ignore (Ensemble.await_leader ens);
+      let c = Ensemble.connect ens ~name:"idle" () in
+      ignore (Client.get c "/nothing");
+      Des.Proc.sleep 2.;
+      let window = 20. in
+      let before = Des.Sim.executed sim in
+      Des.Proc.sleep window;
+      let rate = float_of_int (Des.Sim.executed sim - before) /. window in
+      check bool_c
+        (Printf.sprintf "idle events per virtual s %.0f <= 150" rate)
+        true (rate <= 150.);
+      Client.close c)
 
 let test_ephemeral_expires_on_close () =
   with_ensemble ~horizon:60. (fun _sim ens ->
@@ -921,8 +976,8 @@ let test_multi_watch_fires_once () =
       let watcher = Ensemble.connect ens ~name:"watcher" () in
       let writer = Ensemble.connect ens ~name:"writer" () in
       ignore (ok_create "create" (Client.create writer ~key:"/w/x" ~value:"0" ()));
-      Client.watch_key watcher "/w/x";
-      Client.watch_children watcher "/w";
+      ignore (Client.get ~watch:true watcher "/w/x");
+      ignore (Client.get_children ~watch:true watcher "/w");
       (match
          Client.multi writer
            [ op_write "/w/x" "1"; op_write "/w/x" "2"; op_create "/w/y" "v" ]
@@ -1152,6 +1207,8 @@ let suite =
     ("ensemble: replicas converge", `Quick, test_replicas_converge);
     ("watch: key", `Quick, test_watch_key_fires);
     ("watch: children", `Quick, test_watch_children_fires);
+    ("watch: watched read arms atomically", `Quick, test_watched_read_arms_atomically);
+    ("idle: event budget", `Quick, test_idle_event_budget);
     ("session: ephemeral expires on close", `Quick, test_ephemeral_expires_on_close);
     ("session: graceful disconnect is immediate", `Quick, test_graceful_disconnect_immediate);
     ("failover: no committed writes lost", `Quick, test_leader_crash_no_committed_loss);

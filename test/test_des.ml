@@ -519,6 +519,98 @@ let test_sim_event_counters () =
   check int_c "pending after" 0 (Des.Sim.pending sim);
   check int_c "executed after" 2 (Des.Sim.executed sim)
 
+(* ------------------------------------------------------------------ *)
+(* Wake rule: wakes from outside any process run inline, wakes from
+   process code go through a zero-delay event *)
+
+let test_wake_timer_one_event () =
+  let deltas = ref [] in
+  let sim, _ =
+    in_sim (fun sim ->
+        for _ = 1 to 3 do
+          let before = Des.Sim.executed sim in
+          Des.Proc.sleep 1.;
+          deltas := (Des.Sim.executed sim - before) :: !deltas
+        done)
+  in
+  check (Alcotest.list int_c) "one event per timer wake" [ 1; 1; 1 ] !deltas;
+  check int_c "start plus three timers" 4 (Des.Sim.executed sim);
+  no_failures sim
+
+let test_wake_net_one_event () =
+  let sim = Des.Sim.create () in
+  let net = Des.Net.create ~latency:(constant_latency 0.01) sim ~nodes:2 in
+  let got = ref [] in
+  ignore
+    (Des.Proc.spawn sim (fun () ->
+         while true do
+           let _, msg = Des.Channel.recv (Des.Net.inbox net 1) in
+           got := msg :: !got
+         done));
+  ignore (Des.Sim.run sim);
+  for i = 1 to 3 do
+    Des.Net.send net ~src:0 ~dst:1 i;
+    check int_c (Printf.sprintf "delivery %d costs one event" i) 1
+      (Des.Sim.run sim)
+  done;
+  check (Alcotest.list int_c) "all delivered in order" [ 1; 2; 3 ]
+    (List.rev !got);
+  no_failures sim
+
+let test_wake_from_process_waits_for_sender () =
+  let sim = Des.Sim.create () in
+  let ch = Des.Channel.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  ignore
+    (Des.Proc.spawn ~name:"receiver" sim (fun () ->
+         let v = Des.Channel.recv ch in
+         note (Printf.sprintf "received %d at %g" v (Des.Proc.now ()))));
+  ignore
+    (Des.Proc.spawn ~name:"sender" sim (fun () ->
+         Des.Proc.sleep 1.;
+         Des.Channel.send ch 7;
+         note "send returned";
+         note "sender still running";
+         Des.Proc.sleep 1.;
+         note "sender resumed"));
+  ignore (Des.Sim.run sim);
+  check (Alcotest.list Alcotest.string) "receiver runs after the sender suspends"
+    [ "send returned"; "sender still running"; "received 7 at 1"; "sender resumed" ]
+    (List.rev !log);
+  no_failures sim
+
+(* Two timers due at the same instant fire in scheduling order, each
+   waking its process inline; a wake one of them issues to a third
+   process is an event scheduled now, so it runs after both. *)
+let test_wake_same_time_order () =
+  let run () =
+    let sim = Des.Sim.create () in
+    let ch = Des.Channel.create () in
+    let log = ref [] in
+    let note s = log := s :: !log in
+    ignore
+      (Des.Proc.spawn ~name:"c" sim (fun () ->
+           ignore (Des.Channel.recv ch);
+           note "c"));
+    ignore
+      (Des.Proc.spawn ~name:"a" sim (fun () ->
+           Des.Proc.sleep 1.;
+           note "a";
+           Des.Channel.send ch ()));
+    ignore
+      (Des.Proc.spawn ~name:"b" sim (fun () ->
+           Des.Proc.sleep 1.;
+           note "b"));
+    ignore (Des.Sim.run sim);
+    no_failures sim;
+    List.rev !log
+  in
+  let first = run () in
+  check (Alcotest.list Alcotest.string) "timer order, then the hop"
+    [ "a"; "b"; "c" ] first;
+  check (Alcotest.list Alcotest.string) "repeatable" first (run ())
+
 let suite =
   [
     ("heap: pop order", `Quick, test_heap_order);
@@ -559,6 +651,12 @@ let suite =
     ("proc: kill idempotent", `Quick, test_proc_kill_is_idempotent);
     ("channel: try_recv", `Quick, test_channel_try_recv);
     ("sim: event counters", `Quick, test_sim_event_counters);
+    ("wake: timer costs one event", `Quick, test_wake_timer_one_event);
+    ("wake: net delivery costs one event", `Quick, test_wake_net_one_event);
+    ( "wake: process-issued wake waits for the sender",
+      `Quick,
+      test_wake_from_process_waits_for_sender );
+    ("wake: same-time order is deterministic", `Quick, test_wake_same_time_order);
   ]
 
 let () = Alcotest.run "des" [ ("des", suite) ]

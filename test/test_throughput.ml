@@ -347,18 +347,11 @@ let test_wake_passes_deduplicated () =
 (* ------------------------------------------------------------------ *)
 (* Write budget: replicated coordination commands per committed txn *)
 
-(* Each session toggles its own VM on its own host, so nothing contends
-   and every coordination command is write-path overhead.  The budget is
-   the leader's commit-index delta over the load: every replicated
-   command, whoever issued it.  Each step of a transaction's life — the
-   client's request, the controller's input burst and scheduler pass, a
-   worker's take and its finish, the burst that folds the result — writes
-   through one atomic multi, about 3.75 commands per txn here; the chain
-   of single-key commands they replaced cost about 16, far past the
-   budget of 6. *)
-let test_write_budget () =
-  let sessions = 4 and toggles = 8 in
-  let sim = Des.Sim.create ~seed:1 () in
+let budget_sessions = 4
+
+(* One shard, one controller, four workers, logical-only execution. *)
+let budget_platform sim =
+  let sessions = budget_sessions in
   let size =
     { Tcloud.Setup.small with
       Tcloud.Setup.compute_hosts = sessions;
@@ -377,10 +370,22 @@ let test_write_budget () =
       controller_config = Tcloud.Setup.controller_config;
       submit_clients = sessions }
   in
-  let platform =
-    Tropic.Platform.create spec inv.Tcloud.Setup.env
-      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
-  in
+  Tropic.Platform.create spec inv.Tcloud.Setup.env
+    ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
+
+(* Each session toggles its own VM on its own host, so nothing contends
+   and every coordination command is write-path overhead.  The budget is
+   the leader's commit-index delta over the load: every replicated
+   command, whoever issued it.  Each step of a transaction's life — the
+   client's request, the controller's input burst and scheduler pass, a
+   worker's take and its finish, the burst that folds the result — writes
+   through one atomic multi, about 3.75 commands per txn here; the chain
+   of single-key commands they replaced cost about 16, far past the
+   budget of 6. *)
+let test_write_budget () =
+  let sessions = budget_sessions and toggles = 8 in
+  let sim = Des.Sim.create ~seed:1 () in
+  let platform = budget_platform sim in
   let commit_index () =
     let ens = Tropic.Platform.coord platform in
     match Ensemble.leader_id ens with
@@ -441,6 +446,34 @@ let test_write_budget () =
      Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
   if not !finished then Alcotest.fail "scenario did not finish before horizon"
 
+(* Idle budget: with no requests, the platform should run little more than
+   coordination heartbeats and one watched read per idle waiter per second
+   (the controller on inputQ, each worker on phyQ): about 130 events per
+   virtual second.  Per-tick replica polling and waiters that read, arm a
+   watch and re-read every second cost about 550. *)
+let test_idle_budget () =
+  let sim = Des.Sim.create ~seed:1 () in
+  let platform = budget_platform sim in
+  let finished = ref false in
+  ignore
+    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
+         ignore (Tropic.Platform.await_leader_controller platform);
+         Des.Proc.sleep 5.;
+         let window = 30. in
+         let before = Des.Sim.executed sim in
+         Des.Proc.sleep window;
+         let rate = float_of_int (Des.Sim.executed sim - before) /. window in
+         check bool_c
+           (Printf.sprintf "idle events per virtual s %.0f <= 200" rate)
+           true (rate <= 200.);
+         finished := true));
+  ignore (Des.Sim.run ~until:120. sim);
+  (match Des.Sim.failures sim with
+   | [] -> ()
+   | (who, exn) :: _ ->
+     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
+  if not !finished then Alcotest.fail "scenario did not finish before horizon"
+
 let () =
   Alcotest.run "throughput"
     [
@@ -468,5 +501,8 @@ let () =
           ( "write budget: at most 6 replicated commands per txn",
             `Quick,
             test_write_budget );
+          ( "idle budget: at most 200 events per virtual s",
+            `Quick,
+            test_idle_budget );
         ] );
     ]
